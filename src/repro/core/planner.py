@@ -25,6 +25,8 @@ from repro.core.approx_t1 import t1_candidates
 from repro.core.approx_t2 import t2_candidates
 from repro.core.dual_index import DualIndex
 from repro.core.query import ALL, EXIST, HalfPlaneQuery, QueryResult
+from repro.core.refine import refine
+from repro.core.restricted import restricted_sweep
 from repro.core.slope_set import SlopeSet
 from repro.errors import QueryError
 from repro.obs import slopelog
@@ -89,12 +91,11 @@ class DualIndexPlanner:
         return seq
 
     @classmethod
-    def open(cls, data_dir: str,
-             columnar: bool | None = None) -> "DualIndexPlanner":
+    def open(cls, data_dir: str) -> "DualIndexPlanner":
         """Open a saved planner from disk without rebuilding."""
         from repro.storage.checkpoint import open_planner
 
-        return open_planner(data_dir, columnar=columnar)
+        return open_planner(data_dir)
 
     # ------------------------------------------------------------------
     # construction
@@ -251,134 +252,44 @@ class DualIndexPlanner:
         return self._t1_path(query)
 
     def _exact_path(self, query: HalfPlaneQuery, slope_index: int) -> QueryResult:
-        trees, upward = self.index.trees_for(query.query_type, query.theta)
-        tree = trees[slope_index]
-        margin = self.index.margin(query.intercept)
-        if tree.columnar:
-            return self._exact_path_columnar(query, tree, upward, margin)
-        accepted: set[int] = set()
-        boundary: set[int] = set()
-        with obs.span("sweep.exact", tree=tree.name, path="scalar"):
-            if upward:
-                start = tree.quantize(query.intercept - margin)
-                accept_from = tree.quantize(query.intercept + margin)
-                for visit in tree.sweep_up(start):
-                    obs.incr("comparisons", len(visit.leaf.keys))
-                    for key, rid in zip(visit.leaf.keys, visit.leaf.rids):
-                        if key >= accept_from:
-                            accepted.add(rid)
-                        elif key >= start:
-                            boundary.add(rid)
-            else:
-                start = tree.quantize(query.intercept + margin)
-                accept_to = tree.quantize(query.intercept - margin)
-                for visit in tree.sweep_down(start):
-                    obs.incr("comparisons", len(visit.leaf.keys))
-                    for key, rid in zip(visit.leaf.keys, visit.leaf.rids):
-                        if key <= accept_to:
-                            accepted.add(rid)
-                        elif key <= start:
-                            boundary.add(rid)
-        result = QueryResult(technique="exact")
-        result.accepted_without_refinement = len(accepted)
-        result.candidates = len(accepted) + len(boundary)
-        result.ids = {self.index.tid_of[rid] for rid in accepted}
-        confirmed, false_hits, pages = self._refine(query, boundary)
-        result.ids |= confirmed
-        result.false_hits = false_hits
-        result.refinement_pages = pages
-        return result
-
-    def _exact_path_columnar(
-        self,
-        query: HalfPlaneQuery,
-        tree,
-        upward: bool,
-        margin: float,
-    ) -> QueryResult:
-        """Columnar exact path: one merged sweep (single start) plus one
-        ``np.searchsorted`` split into accepted/boundary.
-
-        Page-identical to the scalar exact path: the scalar sweep also
-        runs from its quantized start to the end of the leaf chain, so
-        descent target, leaves read, and counters all match; only the
-        per-entry Python classification is replaced by the array split.
-        """
-        with obs.span("sweep.exact", tree=tree.name, path="columnar"):
-            if upward:
-                accept_key = tree.quantize(query.intercept + margin)
-                sweep = tree.sweep_up_multi([query.intercept - margin])
-            else:
-                accept_key = tree.quantize(query.intercept - margin)
-                sweep = tree.sweep_down_multi([query.intercept + margin])
-            keys, rids = sweep.arrays()
-            if upward:
-                split = int(np.searchsorted(keys, accept_key, side="left"))
-            else:
-                # Descending keys: accepted are keys <= accept_key.
-                split = int(np.searchsorted(-keys, -accept_key, side="left"))
-            accepted = rids[split:]
-            boundary = rids[:split]
+        _leaves, [(accepted, boundary)] = restricted_sweep(
+            self.index, query.query_type, query.theta, slope_index,
+            [query.intercept], "sweep.exact",
+        )
         result = QueryResult(technique="exact")
         result.accepted_without_refinement = int(accepted.size)
         result.candidates = int(accepted.size + boundary.size)
-        result.ids = set(self.index.tids_for_rids(accepted).tolist())
-        confirmed, false_hits, pages = self._refine(query, boundary.tolist())
-        result.ids |= confirmed
-        result.false_hits = false_hits
-        result.refinement_pages = pages
+        confirmed = self._refine(query, boundary, result)
+        result.set_lazy_ids(self.index.tids_for_rids(accepted), confirmed)
         return result
 
     def _t1_path(self, query: HalfPlaneQuery) -> QueryResult:
         rids, duplicates = t1_candidates(self.index, query, self.pivot_x)
         result = QueryResult(technique="T1")
-        result.candidates = len(rids)
+        result.candidates = int(rids.size)
         result.duplicates = duplicates
-        result.ids, result.false_hits, result.refinement_pages = self._refine(
-            query, rids
-        )
+        result.ids = self._refine(query, rids, result)
         return result
 
     def _t2_path(self, query: HalfPlaneQuery) -> QueryResult:
         trace = t2_candidates(self.index, query)
         result = QueryResult(technique="T2")
         result.candidates = len(trace.candidates)
-        result.ids, result.false_hits, result.refinement_pages = self._refine(
-            query, trace.candidates
-        )
+        rids = np.fromiter(trace.candidates, dtype=np.int64,
+                           count=len(trace.candidates))
+        result.ids = self._refine(query, rids, result)
         return result
 
-    # ------------------------------------------------------------------
-    # refinement
-    # ------------------------------------------------------------------
     def _refine(
-        self, query: HalfPlaneQuery, rids: Iterable[int]
-    ) -> tuple[set[int], int, int]:
-        """Fetch candidate records (page-batched) and apply the exact
-        predicate; the I/O cost is one page access per distinct heap page
-        holding a candidate. Returns (confirmed ids, false hits, pages)."""
-        from repro.storage.heap import unpack_rid
-        from repro.storage.serialize import decode_tuple
-
-        predicate = all_halfplane if query.query_type == ALL else exist_halfplane
-        confirmed: set[int] = set()
-        false_hits = 0
-        rids = list(rids)
-        pages = len({unpack_rid(rid)[0] for rid in rids})
-        with obs.span("fetch"):
-            records = self.index.heap.fetch_batch(rids)
-        with obs.span("verify"):
-            for data in records.values():
-                tid, t = decode_tuple(data)
-                if predicate(
-                    t.extension(), query.slope_2d, query.intercept, query.theta
-                ):
-                    confirmed.add(tid)
-                else:
-                    false_hits += 1
-            obs.incr("refine.confirmed", len(confirmed))
-            obs.incr("refine.false_hits", false_hits)
-        return confirmed, false_hits, pages
+        self, query: HalfPlaneQuery, rids: np.ndarray, result: QueryResult
+    ) -> set[int]:
+        """The shared refinement step on one query's candidates; bills
+        false hits and heap pages to ``result``, returns confirmed ids."""
+        [(confirmed, result.false_hits, result.refinement_pages)], _pages = (
+            refine(self.index, [(query, rids)],
+                   {ALL: all_halfplane, EXIST: exist_halfplane})
+        )
+        return confirmed
 
     def _has_dirty_leaves(self) -> bool:
         return any(

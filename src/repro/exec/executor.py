@@ -28,33 +28,29 @@ per-query ``QueryResult.io`` is left zero in batch mode.
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence, TypeVar
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.constraints.tuples import GeneralizedTuple
-from repro.core.query import ALL, HalfPlaneQuery, QueryResult
+from repro.core.planner import SLOPE_TOL, DualIndexPlanner
+from repro.core.query import ALL, EXIST, HalfPlaneQuery, QueryResult
+from repro.core.refine import refine
+from repro.core.restricted import restricted_sweep
 from repro.errors import QueryError
 from repro.exec.cache import CacheKey, QueryResultCache, cache_key
-from repro.exec.grouping import ExactGroup, VectorGroup, group_queries
+from repro.exec.grouping import group_queries
+from repro.exec.partials import TECH_NAMES, TECH_VECTOR, ShardPartials
 from repro.geometry.predicates import all_halfplane, exist_halfplane
 from repro.geometry.vectorized import DualSurface
 from repro.obs import slopelog
 from repro.obs import trace as obs
 from repro.obs import tracer
 from repro.obs.metrics import MetricsRegistry, get_registry
-from repro.storage.heap import rid_pages, unpack_rid
+from repro.storage.heap import rid_pages
 from repro.storage.serialize import decode_tuple
 from repro.storage.stats import IOStats
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.planner import DualIndexPlanner
-
-_T = TypeVar("_T")
-_R = TypeVar("_R")
 
 
 @dataclass
@@ -100,12 +96,6 @@ class BatchExecutor:
         batch runs against. Answers always equal ``planner.query``'s.
     cache_size:
         LRU result-cache capacity (0 disables caching).
-    max_workers:
-        When > 1, independent slope groups are processed by a thread
-        pool. The storage stack is not thread-safe, so pager-touching
-        sections run under one lock; only the in-memory classify/verify
-        work actually overlaps. Defaults to 0 (fully sequential), which
-        is also the deterministic mode the benchmarks use.
     registry:
         Metrics registry for cache/batch counters; defaults to the
         process-wide one.
@@ -129,17 +119,14 @@ class BatchExecutor:
 
     def __init__(
         self,
-        planner: "DualIndexPlanner",
+        planner: DualIndexPlanner,
         cache_size: int = 256,
-        max_workers: int = 0,
         registry: MetricsRegistry | None = None,
     ) -> None:
         self.planner = planner
         self.index = planner.index
         self.cache = QueryResultCache(cache_size)
-        self.max_workers = max_workers
         self.registry = registry if registry is not None else get_registry()
-        self._io_lock = threading.Lock()
         self._surface: DualSurface | None = None
         self._surface_version: int | None = None
 
@@ -147,133 +134,111 @@ class BatchExecutor:
     # public API
     # ------------------------------------------------------------------
     def execute(self, queries: Sequence[HalfPlaneQuery]) -> BatchResult:
-        """Answer every query in the batch; results align with inputs."""
-        log_slopes = self.planner.slope_logging
-        for query in queries:
-            if query.dimension != 2:
-                raise QueryError("BatchExecutor is 2-D; use DDimPlanner")
-            if log_slopes:
+        """Answer every query in the batch; results align with inputs.
+
+        Cache hits are served first; every other query runs through the
+        grouped-execution core (:meth:`_run`), whose answers are wrapped
+        as :class:`QueryResult` objects and published to the cache.
+        """
+        queries = list(queries)
+        version = self._begin(queries)
+        if self.planner.slope_logging:
+            for query in queries:
                 slopelog.record(query.slope_2d, query.query_type)
-        if self.planner.index.dynamic and self.planner._has_dirty_leaves():
-            with obs.span("maintain", pager=self.index.pager):
-                self.index.refresh_handicaps()
-        version = self.index.version
         batch = BatchResult(results=[None] * len(queries))  # type: ignore[list-item]
         hits0, misses0 = self.cache.hits, self.cache.misses
-        with obs.span("batch", pager=self.index.pager,
-                      index=self.index.name, queries=len(queries),
-                      **_trace_meta()):
-            with self.index.pager.measure() as scope:
-                self._execute(list(queries), version, batch)
-            batch.io = scope.delta
+        with self._scope(len(queries)) as scope:
+            # Only the first occurrence of a query consults the cache; a
+            # later copy of a missed query is a hit on the answer being
+            # computed.
+            keys = [cache_key(query) for query in queries]
+            first: dict[CacheKey, int] = {}
+            fresh: list[int] = []
+            for position, (query, key) in enumerate(zip(queries, keys)):
+                if key not in first:
+                    cached = self.cache.get(query, version)
+                    if cached is not None:
+                        batch.results[position] = _clone_cached(cached)
+                        continue
+                    first[key] = position
+                fresh.append(position)
+            parts, columns = self._run([queries[p] for p in fresh], version)
+            self.cache.hits += parts.cache_hits
+            # The cache keeps its own copy of each answer, so a caller
+            # mutating its result cannot corrupt later hits.
+            for position, result, stored in zip(
+                fresh, _results(parts, columns), _results(parts, columns)
+            ):
+                origin = first[keys[position]]
+                if origin != position:
+                    batch.results[position] = _clone_cached(
+                        batch.results[origin]
+                    )
+                    continue
+                self.cache.put(queries[position], stored, version)
+                batch.results[position] = result
+        batch.io = scope.delta
         batch.cache_hits = self.cache.hits - hits0
         batch.cache_misses = self.cache.misses - misses0
+        batch.exact_groups = parts.exact_groups
+        batch.vector_groups = parts.vector_groups
+        batch.sweep_leaves = parts.sweep_leaves
+        batch.refinement_pages = parts.refinement_pages
         self._record_metrics(batch)
         return batch
+
+    def execute_partials(self, queries: Sequence[HalfPlaneQuery]) -> ShardPartials:
+        """Answer a batch as compact :class:`ShardPartials` columns.
+
+        The same core, answers and accounting as :meth:`execute`, but
+        per-query results stay numpy columns — no :class:`QueryResult`
+        objects, no result cache. This is the lean path the process
+        fan-out workers run: on a fanned-out batch the per-query Python
+        assembly would otherwise be repeated on every shard, and it is
+        exactly the cost that does not shrink with the shard count.
+        """
+        queries = list(queries)
+        version = self._begin(queries)
+        with self._scope(len(queries)) as scope:
+            out, columns = self._run(queries, version)
+        out.io = scope.delta
+        sizes = np.fromiter(
+            (c.size for c in columns), dtype=np.int64, count=len(columns)
+        )
+        out.offsets = np.zeros(len(columns) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=out.offsets[1:])
+        if columns:
+            out.tids = np.concatenate(columns)
+        return out
 
     # ------------------------------------------------------------------
     # batch pipeline
     # ------------------------------------------------------------------
-    def _execute(
-        self,
-        queries: list[HalfPlaneQuery],
-        version: int,
-        batch: BatchResult,
-    ) -> None:
-        # 1. Resolve cache hits and intra-batch duplicates. The first
-        # occurrence of each distinct query executes; later occurrences
-        # are hits on the result being computed.
-        pending: dict[CacheKey, list[int]] = {}
-        fresh: list[tuple[int, HalfPlaneQuery]] = []
-        for position, query in enumerate(queries):
-            key = cache_key(query)
-            if key in pending:
-                self.cache.hits += 1
-                pending[key].append(position)
-                continue
-            cached = self.cache.get(query, version)
-            if cached is not None:
-                batch.results[position] = _clone_cached(cached)
-                continue
-            pending[key] = [position]
-            fresh.append((position, query))
-
-        # 2. Group the fresh queries by shared work.
-        exact_groups, vector_groups = group_queries(
-            fresh, self.index.slopes, _slope_tol()
-        )
-        batch.exact_groups = len(exact_groups)
-        batch.vector_groups = len(vector_groups)
-
-        # 3. One merged sweep per exact group (fan-out optional).
-        sweeps = self._map_groups(self._sweep_group, exact_groups)
-
-        # 4. One shared refinement fetch for every boundary candidate of
-        # every exact group, pages pinned while the verify loop runs.
-        boundary_rids: set[int] = set()
-        for _leaves, partials in sweeps:
-            for _position, _query, _accepted, boundary in partials:
-                if isinstance(boundary, np.ndarray):
-                    boundary_rids.update(boundary.tolist())
-                else:
-                    boundary_rids.update(boundary)
-        decoded = self._fetch_boundary(boundary_rids, batch)
-
-        # 5. Per-query verify + assemble, exactly the sequential
-        # refinement predicate on exactly the sequential boundary set.
-        for leaves, partials in sweeps:
-            batch.sweep_leaves += leaves
-            for position, query, accepted, boundary in partials:
-                result = self._assemble_exact(query, accepted, boundary, decoded)
-                batch.results[position] = result
-
-        # 6. Vectorized path: one dual-surface pass per distinct slope.
-        for group in vector_groups:
-            surface = self._surface_for(version)
-            for position, query in zip(group.indices, group.queries):
-                result = QueryResult(technique="vector")
-                result.set_lazy_ids(
-                    surface.answer_tids(
-                        query.query_type,
-                        query.slope_2d,
-                        query.intercept,
-                        query.theta,
-                    )
-                )
-                result.candidates = len(surface)
-                batch.results[position] = result
-
-        # 7. Publish to the cache and materialise duplicates.
-        for key, positions in pending.items():
-            first = batch.results[positions[0]]
-            assert first is not None
-            self.cache.put(queries[positions[0]], first, version)
-            for position in positions[1:]:
-                batch.results[position] = _clone_cached(first)
-
-    def execute_partials(self, queries: Sequence[HalfPlaneQuery]) -> "ShardPartials":
-        """Answer a batch as compact :class:`ShardPartials` columns.
-
-        Same grouping, sweeps, refinement and answers as
-        :meth:`execute`, but per-query results stay numpy columns — no
-        :class:`QueryResult` objects, no result cache. This is the lean
-        path the process fan-out workers run: on a fanned-out batch the
-        per-query Python assembly would otherwise be repeated on every
-        shard, and it is exactly the cost that does not shrink with the
-        shard count. Duplicate queries inside the batch are deduplicated
-        the same way :meth:`execute` does, so page accounting matches
-        the threaded fan-out bit for bit.
-        """
-        from repro.exec.partials import ShardPartials
-
+    def _begin(self, queries: list[HalfPlaneQuery]) -> int:
+        """Validate the batch, run pending maintenance, return the index
+        version the batch answers against."""
         for query in queries:
             if query.dimension != 2:
                 raise QueryError("BatchExecutor is 2-D; use DDimPlanner")
         if self.planner.index.dynamic and self.planner._has_dirty_leaves():
             with obs.span("maintain", pager=self.index.pager):
                 self.index.refresh_handicaps()
-        version = self.index.version
-        queries = list(queries)
+        return self.index.version
+
+    @contextmanager
+    def _scope(self, n: int) -> Iterator:
+        """The batch span plus the I/O measurement of its whole body."""
+        with obs.span("batch", pager=self.index.pager,
+                      index=self.index.name, queries=n,
+                      **_trace_meta()):
+            with self.index.pager.measure() as scope:
+                yield scope
+
+    def _run(
+        self, queries: list[HalfPlaneQuery], version: int
+    ) -> tuple[ShardPartials, list[np.ndarray]]:
+        """The grouped-execution core: answers as :class:`ShardPartials`
+        counters plus one accepted-tid column per query."""
         n = len(queries)
         out = ShardPartials(
             extras=[None] * n,
@@ -284,100 +249,63 @@ class BatchExecutor:
             refinement_pages_q=np.zeros(n, dtype=np.int64),
         )
         columns: list = [None] * n
-        with obs.span("batch", pager=self.index.pager,
-                      index=self.index.name, queries=n,
-                      **_trace_meta()):
-            with self.index.pager.measure() as scope:
-                self._execute_partials(queries, version, out, columns)
-            out.io = scope.delta
-        sizes = np.fromiter(
-            (c.size for c in columns), dtype=np.int64, count=n
-        )
-        out.offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(sizes, out=out.offsets[1:])
-        out.tids = (
-            np.concatenate(columns) if n else np.empty(0, dtype=np.int64)
-        )
-        return out
 
-    def _execute_partials(
-        self,
-        queries: list[HalfPlaneQuery],
-        version: int,
-        out: "ShardPartials",
-        columns: list,
-    ) -> None:
-        from repro.exec.partials import TECH_VECTOR
-
-        empty = np.empty(0, dtype=np.int64)
-        # 1. Intra-batch duplicates execute once (same dedup as
-        # `_execute`, so sweeps and page accounting are identical); the
-        # result cache is not consulted — fan-out workers answer cold.
-        pending: dict[CacheKey, list[int]] = {}
+        # 1. Intra-batch duplicates execute once.
+        origin = [0] * n
+        first: dict[CacheKey, int] = {}
         fresh: list[tuple[int, HalfPlaneQuery]] = []
         for position, query in enumerate(queries):
-            key = cache_key(query)
-            if key in pending:
-                out.cache_hits += 1
-                pending[key].append(position)
-                continue
-            out.cache_misses += 1
-            pending[key] = [position]
-            fresh.append((position, query))
+            origin[position] = first.setdefault(cache_key(query), position)
+            if origin[position] == position:
+                fresh.append((position, query))
+        out.cache_misses = len(fresh)
+        out.cache_hits = n - len(fresh)
 
+        # 2. Group the fresh queries by shared work.
         exact_groups, vector_groups = group_queries(
-            fresh, self.index.slopes, _slope_tol()
+            fresh, self.index.slopes, SLOPE_TOL
         )
         out.exact_groups = len(exact_groups)
         out.vector_groups = len(vector_groups)
 
-        sweeps = self._map_groups(self._sweep_group, exact_groups)
-        boundary_rids: set[int] = set()
-        for _leaves, partials in sweeps:
-            for _position, _query, _accepted, boundary in partials:
-                if isinstance(boundary, np.ndarray):
-                    boundary_rids.update(boundary.tolist())
-                else:
-                    boundary_rids.update(boundary)
-        scratch = BatchResult()
-        decoded = self._fetch_boundary(boundary_rids, scratch)
-        out.refinement_pages = scratch.refinement_pages
-
-        scratch_result = QueryResult()
-        for leaves, partials in sweeps:
+        # 3. One descent + merged sweep per exact group, split per query
+        # into accepted and boundary candidates.
+        work: list[tuple[HalfPlaneQuery, np.ndarray]] = []
+        refined_at: list[int] = []
+        for group in exact_groups:
+            leaves, splits = restricted_sweep(
+                self.index, group.query_type, group.queries[0].theta,
+                group.slope_index, [q.intercept for q in group.queries],
+                "sweep.batch",
+            )
             out.sweep_leaves += leaves
-            for position, query, accepted, boundary in partials:
-                out.candidates[position] = len(accepted) + len(boundary)
-                out.accepted_without_refinement[position] = len(accepted)
-                if isinstance(accepted, np.ndarray):
-                    columns[position] = self.index.tids_for_rids(accepted)
-                    boundary_list = boundary.tolist()
-                    if boundary_list:
-                        out.refinement_pages_q[position] = int(
-                            rid_pages(boundary).size
-                        )
-                else:
-                    # Scalar-path partials are Python sets: the tids ride
-                    # in the extras set, the array column stays empty.
-                    tid_of = self.index.tid_of
-                    out.extras[position] = {tid_of[rid] for rid in accepted}
-                    columns[position] = empty
-                    boundary_list = boundary
-                    out.refinement_pages_q[position] = len(
-                        {unpack_rid(rid)[0] for rid in boundary}
-                    )
-                if boundary_list:
-                    scratch_result.false_hits = 0
-                    confirmed = self._verify_boundary(
-                        query, boundary_list, decoded, scratch_result
-                    )
-                    out.false_hits[position] = scratch_result.false_hits
-                    if confirmed:
-                        if out.extras[position] is None:
-                            out.extras[position] = confirmed
-                        else:
-                            out.extras[position] |= confirmed
+            for position, query, (accepted, boundary) in zip(
+                group.indices, group.queries, splits
+            ):
+                columns[position] = self.index.tids_for_rids(accepted)
+                out.candidates[position] = accepted.size + boundary.size
+                out.accepted_without_refinement[position] = accepted.size
+                if boundary.size:
+                    work.append((query, boundary))
+                    refined_at.append(position)
 
+        # 4. One shared refinement fetch for the boundary candidates of
+        # every exact group, their heap pages pinned in the buffer pool.
+        if work:
+            pages = rid_pages(np.concatenate([b for _q, b in work]))
+            with self.index.pager.pinned(pages.tolist()):
+                refined, out.refinement_pages = refine(
+                    self.index, work,
+                    {ALL: all_halfplane, EXIST: exist_halfplane},
+                )
+            for position, (confirmed, false_hits, query_pages) in zip(
+                refined_at, refined
+            ):
+                out.extras[position] = confirmed or None
+                out.false_hits[position] = false_hits
+                out.refinement_pages_q[position] = query_pages
+
+        # 5. Vectorized path: one dual-surface pass per distinct slope.
         for group in vector_groups:
             surface = self._surface_for(version)
             for position, query in zip(group.indices, group.queries):
@@ -390,184 +318,17 @@ class BatchExecutor:
                 )
                 out.candidates[position] = len(surface)
 
-        # Duplicate positions share the first occurrence's columns.
-        for positions in pending.values():
-            first = positions[0]
-            for position in positions[1:]:
-                columns[position] = columns[first]
-                out.extras[position] = out.extras[first]
-                out.technique[position] = out.technique[first]
-                out.candidates[position] = out.candidates[first]
-                out.false_hits[position] = out.false_hits[first]
-                out.accepted_without_refinement[position] = (
-                    out.accepted_without_refinement[first]
-                )
-                out.refinement_pages_q[position] = (
-                    out.refinement_pages_q[first]
-                )
-
-    # ------------------------------------------------------------------
-    # exact groups
-    # ------------------------------------------------------------------
-    def _sweep_group(
-        self, group: ExactGroup
-    ) -> tuple[int, list[tuple[int, HalfPlaneQuery, set[int], set[int]]]]:
-        """One shared descent + merged sweep; classify entries per query.
-
-        Returns ``(leaf pages swept, partials)`` where each partial is
-        ``(original position, query, accepted rids, boundary rids)`` —
-        the same two candidate sets the sequential exact path builds
-        with its own sweep (same quantized start and accept boundaries).
-        On the columnar path accepted/boundary are int64 numpy arrays
-        (one ``np.searchsorted`` split per query over the shared sweep);
-        on the scalar path they are Python sets built entry by entry.
-        """
-        theta = group.queries[0].theta
-        trees, upward = self.index.trees_for(group.query_type, theta)
-        tree = trees[group.slope_index]
-        margins = [self.index.margin(q.intercept) for q in group.queries]
-        if upward:
-            starts = [
-                q.intercept - m for q, m in zip(group.queries, margins)
-            ]
-            accepts = [
-                tree.quantize(q.intercept + m)
-                for q, m in zip(group.queries, margins)
-            ]
-        else:
-            starts = [
-                q.intercept + m for q, m in zip(group.queries, margins)
-            ]
-            accepts = [
-                tree.quantize(q.intercept - m)
-                for q, m in zip(group.queries, margins)
-            ]
-        path = "columnar" if tree.columnar else "scalar"
-        with self._io_lock, obs.span(
-            "sweep.batch", tree=tree.name, queries=len(group), path=path
-        ):
-            sweep = (
-                tree.sweep_up_multi(starts)
-                if upward
-                else tree.sweep_down_multi(starts)
-            )
-        if tree.columnar:
-            return sweep.leaves, self._classify_columnar(
-                group, sweep, accepts, upward
-            )
-        partials = []
-        for j, (position, query) in enumerate(
-            zip(group.indices, group.queries)
-        ):
-            keys, rids = sweep.entries_for(j)
-            accepted: set[int] = set()
-            boundary: set[int] = set()
-            accept_key = accepts[j]
-            if upward:
-                for key, rid in zip(keys, rids):
-                    if key >= accept_key:
-                        accepted.add(rid)
-                    else:
-                        boundary.add(rid)
-            else:
-                for key, rid in zip(keys, rids):
-                    if key <= accept_key:
-                        accepted.add(rid)
-                    else:
-                        boundary.add(rid)
-            partials.append((position, query, accepted, boundary))
-        return sweep.leaves, partials
-
-    def _classify_columnar(self, group, sweep, accepts, upward):
-        """Array split of one merged sweep into per-query partials.
-
-        A query's entries are the suffix ``keys[offsets[j]:]``; the
-        accept boundary lands at one ``searchsorted`` index, so accepted
-        is ``rids[split:]`` and boundary ``rids[offsets[j]:split]`` —
-        the same membership the scalar per-entry loop produces (the
-        sweep keys are sorted toward the accept region in both
-        directions).
-        """
-        keys, rids = sweep.arrays()
-        # Ascending comparison space: up-sweeps accept keys >= accept,
-        # down-sweeps (descending keys) accept keys <= accept.
-        base = keys if upward else -keys
-        probes = np.asarray(accepts, dtype=np.float64)
-        if not upward:
-            probes = -probes
-        splits = np.searchsorted(base, probes, side="left")
-        partials = []
-        for j, (position, query) in enumerate(
-            zip(group.indices, group.queries)
-        ):
-            at = sweep.offsets[j]
-            split = max(at, int(splits[j]))
-            partials.append(
-                (position, query, rids[split:], rids[at:split])
-            )
-        return partials
-
-    def _fetch_boundary(
-        self, boundary_rids: set[int], batch: BatchResult
-    ) -> dict[int, tuple[int, GeneralizedTuple]]:
-        """Fetch + decode all boundary candidates, each page once."""
-        if not boundary_rids:
-            return {}
-        pages = {unpack_rid(rid)[0] for rid in boundary_rids}
-        batch.refinement_pages = len(pages)
-        with self._io_lock, self.index.pager.pinned(pages):
-            with obs.span("fetch.batch", rids=len(boundary_rids)):
-                records = self.index.heap.fetch_batch(boundary_rids)
-        return {rid: decode_tuple(data) for rid, data in records.items()}
-
-    def _assemble_exact(
-        self,
-        query: HalfPlaneQuery,
-        accepted,
-        boundary,
-        decoded: dict[int, tuple[int, GeneralizedTuple]],
-    ) -> QueryResult:
-        result = QueryResult(technique="exact")
-        result.accepted_without_refinement = len(accepted)
-        result.candidates = len(accepted) + len(boundary)
-        if isinstance(accepted, np.ndarray):
-            # Columnar partial: vectorized rid -> tid translation, the
-            # answer handed over as a lazy tid column (set membership is
-            # identical to the scalar path, materialised on access).
-            tids = self.index.tids_for_rids(accepted)
-            if not len(boundary):
-                result.set_lazy_ids(tids)
-                return result
-            result.refinement_pages = int(rid_pages(boundary).size)
-            extra = self._verify_boundary(query, boundary.tolist(), decoded, result)
-            result.set_lazy_ids(tids, extra)
-            return result
-        result.ids = {self.index.tid_of[rid] for rid in accepted}
-        result.refinement_pages = len(
-            {unpack_rid(rid)[0] for rid in boundary}
-        )
-        result.ids |= self._verify_boundary(query, boundary, decoded, result)
-        return result
-
-    def _verify_boundary(
-        self,
-        query: HalfPlaneQuery,
-        boundary,
-        decoded: dict[int, tuple[int, GeneralizedTuple]],
-        result: QueryResult,
-    ) -> set[int]:
-        """Run the refinement predicate over one query's boundary rids;
-        returns the confirmed tids and counts false hits on ``result``."""
-        predicate = all_halfplane if query.query_type == ALL else exist_halfplane
-        slope, intercept, theta = query.slope_2d, query.intercept, query.theta
-        confirmed: set[int] = set()
-        for rid in boundary:
-            tid, t = decoded[rid]
-            if predicate(t.extension(), slope, intercept, theta):
-                confirmed.add(tid)
-            else:
-                result.false_hits += 1
-        return confirmed
+        # 6. Duplicates share the first occurrence's answer.
+        for position, source in enumerate(origin):
+            if source == position:
+                continue
+            columns[position] = columns[source]
+            out.extras[position] = out.extras[source]
+            for column in (out.technique, out.candidates, out.false_hits,
+                           out.accepted_without_refinement,
+                           out.refinement_pages_q):
+                column[position] = column[source]
+        return out, columns
 
     # ------------------------------------------------------------------
     # vector path
@@ -580,7 +341,7 @@ class BatchExecutor:
         slopes without further I/O until the index version changes.
         """
         if self._surface is None or self._surface_version != version:
-            with self._io_lock, obs.span("surface.build"):
+            with obs.span("surface.build"):
                 self._surface = DualSurface.from_items(
                     decode_tuple(data) for _rid, data in self.index.heap.scan()
                 )
@@ -590,14 +351,6 @@ class BatchExecutor:
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
-    def _map_groups(
-        self, fn: Callable[[_T], _R], groups: Sequence[_T]
-    ) -> list[_R]:
-        if self.max_workers > 1 and len(groups) > 1:
-            with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
-                return list(pool.map(fn, groups))
-        return [fn(group) for group in groups]
-
     def _record_metrics(self, batch: BatchResult) -> None:
         reg = self.registry
         reg.counter("exec_batches", "Batches executed").inc()
@@ -621,10 +374,30 @@ class BatchExecutor:
         )
 
     def __repr__(self) -> str:
-        return (
-            f"<BatchExecutor index={self.index.name!r} cache={self.cache!r} "
-            f"workers={self.max_workers}>"
+        return f"<BatchExecutor index={self.index.name!r} cache={self.cache!r}>"
+
+
+def _results(parts: ShardPartials, columns: list) -> Iterator[QueryResult]:
+    """Each query of a core run as a fresh :class:`QueryResult` (tid
+    columns are shared read-only, refined extras are copied)."""
+    for technique, candidates, false_hits, accepted, pages, tids, extra in zip(
+        parts.technique.tolist(),
+        parts.candidates.tolist(),
+        parts.false_hits.tolist(),
+        parts.accepted_without_refinement.tolist(),
+        parts.refinement_pages_q.tolist(),
+        columns,
+        parts.extras,
+    ):
+        result = QueryResult(
+            technique=TECH_NAMES[technique],
+            candidates=candidates,
+            false_hits=false_hits,
+            accepted_without_refinement=accepted,
+            refinement_pages=pages,
         )
+        result.set_lazy_ids(tids, set(extra) if extra else None)
+        yield result
 
 
 def _clone_cached(result: QueryResult) -> QueryResult:
@@ -642,12 +415,6 @@ def _clone_cached(result: QueryResult) -> QueryResult:
         refinement_pages=result.refinement_pages,
         cached=True,
     )
-
-
-def _slope_tol() -> float:
-    from repro.core.planner import SLOPE_TOL
-
-    return SLOPE_TOL
 
 
 def _trace_meta() -> dict:

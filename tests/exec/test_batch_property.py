@@ -14,6 +14,7 @@ import random
 from hypothesis import given, strategies as st
 
 from repro.core import ALL, EXIST, DualIndexPlanner, HalfPlaneQuery, SlopeSet
+from repro.core.planner import SLOPE_TOL
 from repro.exec import BatchExecutor
 from repro.storage import Pager
 from tests.conftest import random_mixed_relation
@@ -33,6 +34,7 @@ def _setup():
     )
     _STATE["planner"] = planner
     _STATE["executor"] = BatchExecutor(planner)
+    _STATE["uncached"] = BatchExecutor(planner, cache_size=0)
     return _STATE
 
 
@@ -52,6 +54,23 @@ _query = st.builds(
 @given(queries=st.lists(_query, min_size=1, max_size=8))
 def test_batched_equals_sequential(queries):
     state = _setup()
-    want = [state["planner"].query(q).ids for q in queries]
+    planner = state["planner"]
+    sequential = [planner.query(q) for q in queries]
     batch = state["executor"].execute(queries)
-    assert [r.ids for r in batch.results] == want
+    assert [r.ids for r in batch.results] == [r.ids for r in sequential]
+    # Exact-slope queries run the same sweep split and refinement step
+    # in both engines, so their accounting matches too.
+    uncached = state["uncached"].execute(queries)
+    for query, seq, res in zip(queries, sequential, uncached.results):
+        if planner.index.slopes.index_of(query.slope_2d, SLOPE_TOL) is None:
+            continue
+        assert _accounting(res) == _accounting(seq), query
+
+
+def _accounting(result):
+    return (
+        result.candidates,
+        result.accepted_without_refinement,
+        result.false_hits,
+        result.refinement_pages,
+    )

@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro import GeneralizedRelation, parse_tuple
+from repro.core import DualIndexPlanner
 from repro.core.query import HalfPlaneQuery, QueryResult
+from repro.exec import BatchExecutor
 from repro.exec.cache import QueryResultCache, cache_key
 
 
@@ -61,3 +64,24 @@ def test_zero_capacity_disables_caching():
 def test_negative_capacity_rejected():
     with pytest.raises(ValueError):
         QueryResultCache(capacity=-1)
+
+
+@pytest.mark.parametrize("slope", [0.0, 0.37], ids=["exact", "vector"])
+def test_returned_result_does_not_alias_the_cache(slope):
+    relation = GeneralizedRelation([
+        parse_tuple("y >= 0 and y <= 1 and x >= 0 and x <= 1"),
+        parse_tuple("y >= 2 and y <= 3 and x >= 0 and x <= 1"),
+        parse_tuple("y <= -5"),
+    ])
+    planner = DualIndexPlanner.build(relation, slopes=[-1.0, 0.0, 1.0])
+    executor = BatchExecutor(planner)
+    query = HalfPlaneQuery("EXIST", slope, -1.0, ">=")
+    want = planner.query(query).ids
+    first = executor.execute([query]).results[0]
+    assert not first.cached and first.ids == want
+    first.ids.add(999)
+    again = executor.execute([query]).results[0]
+    assert again.cached
+    assert again.ids == want
+    again.ids.add(998)
+    assert executor.execute([query]).results[0].ids == want

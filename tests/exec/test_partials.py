@@ -20,10 +20,16 @@ from repro.shard import ShardedDualIndex
 from repro.workloads import make_relation
 
 
+def _planner(columnar):
+    relation = make_relation(250, "small", seed=7)
+    return DualIndexPlanner.build(
+        relation, SlopeSet.uniform_angles(3), columnar=columnar
+    )
+
+
 @pytest.fixture(scope="module")
 def planner():
-    relation = make_relation(250, "small", seed=7)
-    return DualIndexPlanner.build(relation, SlopeSet.uniform_angles(3))
+    return _planner(columnar=True)
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +86,14 @@ class TestExecutePartialsParity:
         parts = BatchExecutor(planner, cache_size=0).execute_partials([])
         assert len(parts) == 0
         assert parts.tids.size == 0
+
+
+class TestExecutePartialsParityScalar(TestExecutePartialsParity):
+    """The same parity on the scalar B+-tree engine."""
+
+    @pytest.fixture(scope="class")
+    def planner(self):
+        return _planner(columnar=False)
 
 
 class TestShardedProcessFanout:
