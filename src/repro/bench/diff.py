@@ -11,8 +11,8 @@ What counts as a regression depends on ``--mode``:
 
 * ``ceiling`` (default) — counters are costs (page accesses, false
   hits): current exceeding baseline × (1 + threshold) fails;
-* ``floor`` — counters are throughput (the ``BENCH_vector.json`` QPS
-  gate): current falling below baseline × (1 - threshold) fails.
+* ``floor`` — counters are throughput (the serve-bench and tune-bench
+  QPS gates): current falling below baseline × (1 - threshold) fails.
 
 Either way a baseline counter missing from the current run fails (the
 workload silently shrank), and new counters are listed but never fail —

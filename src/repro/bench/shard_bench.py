@@ -11,8 +11,8 @@ fig9-medium workload (N=2000 medium objects, k=3):
   extension, so reusing one relation would let the second run ride the
   first run's cache and fake a speedup.
 * **sharded QPS** — query-side throughput of :class:`ShardedDualIndex`
-  at 1/2/4 shards over the columnar fan batch
-  (:func:`repro.bench.vector_bench.fan_batch`, 240 queries), with a
+  at 1/2/4 shards over the slope-group fan batch
+  (:func:`repro.workloads.queries.fan_batch`, 240 queries), with a
   per-shard-count correctness check against the unsharded planner
   (``answers_match_unsharded`` must be true for the numbers to mean
   anything). Two numbers per shard count:
@@ -43,12 +43,11 @@ import sys
 import time
 
 from repro.bench import harness
-from repro.bench.vector_bench import fan_batch
 from repro.core import ALL, EXIST, DualIndexPlanner, HalfPlaneQuery, SlopeSet
 from repro.exec import BatchExecutor
 from repro.shard import ShardedDualIndex
 from repro.shard.sharded import _merge_partials
-from repro.workloads import make_relation
+from repro.workloads import fan_batch, make_relation
 
 #: The fig9-medium workload (Figure 9: medium objects, N=2000, k=3).
 FIG9_N = 2000
@@ -129,7 +128,7 @@ def run_bench(
         build_seconds[lo] / build_seconds[hi], 3
     )
 
-    # The columnar fan batch plus the mixed interior/exact batch, so the
+    # The slope-group fan batch plus the mixed interior/exact batch, so the
     # timed workload covers both the exact merged-sweep path and the
     # vector technique.
     queries = fan_batch(k) + _build_queries(n, size, k, queries_per_type)

@@ -1,47 +1,25 @@
-"""Columnar decode cache for B+-tree pages (the vectorized hot path).
+"""Columnar decode cache for B+-tree pages.
 
-The scalar tree decodes every page it touches into Python lists —
-``decode_leaf``/``decode_internal`` plus one ``.tolist()`` per column —
-and then walks the lists entry by entry. On the batch query path that
-per-entry Python work dominates; the actual page *reads* are cheap
-dictionary lookups in the simulated disk.
-
-The columnar path keeps the logical access model untouched and only
-changes what happens *after* a read: page images decode into read-only
-numpy arrays (:class:`repro.btree.node.LeafArrays` /
+Descent and merged sweeps work on numpy columns, not on Python lists:
+page images decode into read-only arrays
+(:class:`repro.btree.node.LeafArrays` /
 :class:`repro.btree.node.InternalArrays`) exactly once, cached by page
 id, and every later touch of the same page re-issues the counted
 ``pager.read`` but reuses the decoded columns. Writers invalidate before
 writing, so the cache can never serve stale columns.
 
-Two invariants keep accounting bit-identical to the scalar path:
+Two invariants keep the paper's page accounting exact:
 
 * every node touch still calls ``Pager.read`` (one logical read each —
   the paper's metric), the cache only skips the *decode*;
 * invalidation happens in ``_write_leaf``/``_write_internal``/``_free``
   before the pager operation, so a failed write cannot leave a stale
   decoded page behind (fault-injection safe).
-
-``REPRO_SCALAR=1`` in the environment disables the columnar path
-process-wide (every tree built after that point runs the legacy scalar
-code); it exists so differential tests can cross-check both engines.
 """
 
 from __future__ import annotations
 
-import os
-
 from repro.btree.node import InternalArrays, LeafArrays, NodeLayout
-
-#: Environment escape hatch: set to "1" to force the scalar path.
-SCALAR_ENV = "REPRO_SCALAR"
-
-
-def columnar_default() -> bool:
-    """Whether new trees should use the columnar path (env-gated)."""
-    return os.environ.get(SCALAR_ENV, "").strip().lower() not in (
-        "1", "true", "yes",
-    )
 
 
 class ColumnarCache:

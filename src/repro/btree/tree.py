@@ -15,7 +15,6 @@ an invariant checker used by the test-suite.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -26,7 +25,7 @@ from repro.obs import trace as obs
 from repro.storage.disk import NULL_PAGE
 from repro.storage.pager import Pager
 from repro.storage.serialize import KeyCodec
-from repro.btree.columnar import ColumnarCache, columnar_default
+from repro.btree.columnar import ColumnarCache
 from repro.btree.node import (
     InternalArrays,
     InternalNode,
@@ -58,35 +57,22 @@ class MultiSweep:
     ``keys[offsets[i]:]`` — for an up-sweep those are the keys
     ``>= starts[i]``, for a down-sweep the keys ``<= starts[i]``.
     ``leaves`` is the number of leaf pages the shared sweep touched.
-
-    On the columnar path ``keys``/``rids`` are numpy arrays (float64 /
-    int64); callers wanting arrays regardless of path use
-    :meth:`arrays`, while :meth:`entries_for` always returns plain
-    lists.
+    ``keys`` is float64 and ``rids`` int64.
     """
 
-    keys: "list[float] | np.ndarray" = field(default_factory=list)
-    rids: "list[int] | np.ndarray" = field(default_factory=list)
+    keys: np.ndarray = field(
+        default_factory=lambda: np.empty(0, dtype=np.float64)
+    )
+    rids: np.ndarray = field(
+        default_factory=lambda: np.empty(0, dtype=np.int64)
+    )
     offsets: list[int] = field(default_factory=list)
     leaves: int = 0
 
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(keys, rids)`` as numpy arrays (no copy on the columnar
-        path; one conversion on the scalar path)."""
-        if isinstance(self.keys, np.ndarray):
-            return self.keys, self.rids  # type: ignore[return-value]
-        return (
-            np.asarray(self.keys, dtype=np.float64),
-            np.asarray(self.rids, dtype=np.int64),
-        )
-
     def entries_for(self, i: int) -> tuple[list[float], list[int]]:
-        """The (keys, rids) slice serving the i-th start key."""
+        """The (keys, rids) slice serving the i-th start key, as lists."""
         at = self.offsets[i]
-        keys, rids = self.keys[at:], self.rids[at:]
-        if isinstance(keys, np.ndarray):
-            return keys.tolist(), rids.tolist()  # type: ignore[union-attr]
-        return keys, rids  # type: ignore[return-value]
+        return self.keys[at:].tolist(), self.rids[at:].tolist()
 
 
 class BPlusTree:
@@ -103,14 +89,10 @@ class BPlusTree:
         plain trees.
     name:
         Diagnostic label.
-    columnar:
-        When True (the default unless ``REPRO_SCALAR=1`` is set in the
-        environment), descent and merged sweeps run on cached numpy
-        columns (``np.searchsorted`` over per-node key arrays) instead
-        of per-entry Python comparisons. Logical page accounting is
-        bit-identical either way — the flag only changes in-memory work.
-        Pass ``False`` explicitly to force the scalar path (used by the
-        differential verifier to cross-check both engines).
+
+    Descent and merged sweeps run on cached numpy columns
+    (``np.searchsorted`` over per-node key arrays); every node touch is
+    still one counted ``pager.read`` (see :mod:`repro.btree.columnar`).
     """
 
     def __init__(
@@ -119,15 +101,11 @@ class BPlusTree:
         key_codec: KeyCodec | None = None,
         aux_slots: int = 0,
         name: str = "btree",
-        columnar: bool | None = None,
     ) -> None:
         self.pager = pager
         self.codec = key_codec if key_codec is not None else KeyCodec(4)
         self.layout = NodeLayout(pager.page_size, self.codec, aux_slots)
         self.name = name
-        self.columnar = (
-            columnar_default() if columnar is None else bool(columnar)
-        )
         self._columns = ColumnarCache(self.layout)
         self.root: int | None = None
         self.height = 0
@@ -234,42 +212,16 @@ class BPlusTree:
     # ------------------------------------------------------------------
     # search
     # ------------------------------------------------------------------
-    def _descend_left(self, target: Composite) -> int:
-        """Leaf that would contain the smallest entry >= target."""
+    def _descend(self, target: Composite, right: bool) -> int:
+        """Leaf that would contain the smallest entry >= ``target``
+        (``right=False``) or the largest entry <= it (``right=True``)."""
         assert self.root is not None
         pid = self.root
-        if self.columnar:
-            for _ in range(self.height - 1):
-                arrs = self._internal_arrays(pid)
-                obs.incr("btree.node_visits")
-                at = _searchsorted_composite(
-                    arrs.keys, arrs.rids, target, right=False
-                )
-                pid = int(arrs.children[at])
-            return pid
         for _ in range(self.height - 1):
-            node = self._read_internal(pid)
+            arrs = self._internal_arrays(pid)
             obs.incr("btree.node_visits")
-            pid = node.children[_bisect_left(node.seps, target)]
-        return pid
-
-    def _descend_right(self, target: Composite) -> int:
-        """Leaf that would contain the largest entry <= target."""
-        assert self.root is not None
-        pid = self.root
-        if self.columnar:
-            for _ in range(self.height - 1):
-                arrs = self._internal_arrays(pid)
-                obs.incr("btree.node_visits")
-                at = _searchsorted_composite(
-                    arrs.keys, arrs.rids, target, right=True
-                )
-                pid = int(arrs.children[at])
-            return pid
-        for _ in range(self.height - 1):
-            node = self._read_internal(pid)
-            obs.incr("btree.node_visits")
-            pid = node.children[_bisect_right(node.seps, target)]
+            at = _searchsorted_composite(arrs.keys, arrs.rids, target, right)
+            pid = int(arrs.children[at])
         return pid
 
     def search(self, key: float) -> list[int]:
@@ -277,7 +229,7 @@ class BPlusTree:
         if self.root is None:
             return []
         qkey = self.quantize(key)
-        pid = self._descend_left((qkey, -1))
+        pid = self._descend((qkey, -1), right=False)
         result: list[int] = []
         while pid != NULL_PAGE:
             leaf = self._read_leaf(pid)
@@ -306,9 +258,8 @@ class BPlusTree:
         if from_key is None:
             pid = self.first_leaf
         else:
-            with obs.span("descend", tree=self.name, height=self.height,
-                          descent_vectorized=self.columnar):
-                pid = self._descend_left((self.quantize(from_key), -1))
+            with obs.span("descend", tree=self.name, height=self.height):
+                pid = self._descend((self.quantize(from_key), -1), right=False)
         while pid != NULL_PAGE:
             leaf = self._read_leaf(pid)
             obs.incr("btree.leaf_visits")
@@ -323,9 +274,10 @@ class BPlusTree:
         if from_key is None:
             pid = self.last_leaf
         else:
-            with obs.span("descend", tree=self.name, height=self.height,
-                          descent_vectorized=self.columnar):
-                pid = self._descend_right((self.quantize(from_key), _MAX_RID))
+            with obs.span("descend", tree=self.name, height=self.height):
+                pid = self._descend(
+                    (self.quantize(from_key), _MAX_RID), right=True
+                )
         while pid != NULL_PAGE:
             leaf = self._read_leaf(pid)
             obs.incr("btree.leaf_visits")
@@ -342,40 +294,18 @@ class BPlusTree:
         suffix ``keys[offsets[i]:]`` (its keys ``>= quantize(starts[i])``)
         — exactly what ``sweep_up(starts[i])`` would have delivered, at
         the page cost of the single widest sweep instead of one descent
-        and one overlapping sweep per query.
+        and one overlapping sweep per query. Entries are gathered as
+        array segments of the cached leaf columns, and per-query offsets
+        come from one ``np.searchsorted`` over the merged key column.
         """
-        if self.columnar:
-            return self._sweep_up_multi_columnar(starts)
-        qstarts = [self.quantize(s) for s in starts]
-        out = MultiSweep()
-        if self.root is None or not qstarts:
-            out.offsets = [0] * len(qstarts)
-            return out
-        lo = min(qstarts)
-        for visit in self.sweep_up(lo):
-            out.leaves += 1
-            obs.incr("comparisons", len(visit.leaf.keys))
-            for key, rid in zip(visit.leaf.keys, visit.leaf.rids):
-                if key >= lo:
-                    out.keys.append(key)
-                    out.rids.append(rid)
-        out.offsets = [bisect.bisect_left(out.keys, q) for q in qstarts]
-        return out
-
-    def _sweep_up_multi_columnar(self, starts: Sequence[float]) -> MultiSweep:
-        """Vectorized :meth:`sweep_up_multi`: same descent, same leaf
-        chain (one counted read per leaf), but entries are gathered as
-        array segments and per-query offsets come from one
-        ``np.searchsorted`` over the merged key column."""
         out = MultiSweep()
         if self.root is None or len(starts) == 0:
             out.offsets = [0] * len(starts)
             return out
         qstarts = self.codec.quantize_many(starts)
         lo = float(qstarts.min())
-        with obs.span("descend", tree=self.name, height=self.height,
-                      descent_vectorized=True):
-            pid = self._descend_left((lo, -1))
+        with obs.span("descend", tree=self.name, height=self.height):
+            pid = self._descend((lo, -1), right=False)
         key_segs: list[np.ndarray] = []
         rid_segs: list[np.ndarray] = []
         while pid != NULL_PAGE:
@@ -406,46 +336,17 @@ class BPlusTree:
 
         One descent to the largest start, one right-to-left sweep; the
         i-th query's entries are the suffix ``keys[offsets[i]:]`` of the
-        *descending* entry list (its keys ``<= quantize(starts[i])``).
+        *descending* entry list (its keys ``<= quantize(starts[i])``);
+        offsets bisect the negated (ascending) key column.
         """
-        if self.columnar:
-            return self._sweep_down_multi_columnar(starts)
-        qstarts = [self.quantize(s) for s in starts]
-        out = MultiSweep()
-        if self.root is None or not qstarts:
-            out.offsets = [0] * len(qstarts)
-            return out
-        hi = max(qstarts)
-        for visit in self.sweep_down(hi):
-            out.leaves += 1
-            obs.incr("comparisons", len(visit.leaf.keys))
-            for key, rid in zip(
-                reversed(visit.leaf.keys), reversed(visit.leaf.rids)
-            ):
-                if key <= hi:
-                    out.keys.append(key)
-                    out.rids.append(rid)
-        # Keys are descending: the suffix for start q begins at the first
-        # index whose key is <= q, found by bisecting the negated keys.
-        negated = [-k for k in out.keys]
-        out.offsets = [bisect.bisect_left(negated, -q) for q in qstarts]
-        return out
-
-    def _sweep_down_multi_columnar(
-        self, starts: Sequence[float]
-    ) -> MultiSweep:
-        """Vectorized :meth:`sweep_down_multi`: right-to-left chain walk
-        with reversed array segments; offsets bisect the negated
-        (ascending) key column, matching the scalar path exactly."""
         out = MultiSweep()
         if self.root is None or len(starts) == 0:
             out.offsets = [0] * len(starts)
             return out
         qstarts = self.codec.quantize_many(starts)
         hi = float(qstarts.max())
-        with obs.span("descend", tree=self.name, height=self.height,
-                      descent_vectorized=True):
-            pid = self._descend_right((hi, _MAX_RID))
+        with obs.span("descend", tree=self.name, height=self.height):
+            pid = self._descend((hi, _MAX_RID), right=True)
         key_segs: list[np.ndarray] = []
         rid_segs: list[np.ndarray] = []
         while pid != NULL_PAGE:
@@ -950,18 +851,6 @@ def _searchsorted_composite(
         return lo
     side = "right" if right else "left"
     return lo + int(np.searchsorted(rids[lo:hi], rid, side=side))
-
-
-
-def _bisect_left(seps: Sequence[Composite], target: Composite) -> int:
-    lo, hi = 0, len(seps)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if seps[mid] < target:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
 
 
 def _bisect_right(seps: Sequence[Composite], target: Composite) -> int:

@@ -40,8 +40,8 @@ Commands
     Per-counter delta report between two bench/smoke JSON artifacts;
     exits non-zero when a counter regresses beyond the threshold.
     ``--mode floor`` inverts the gate for throughput counters
-    (falling below baseline fails) — the CI QPS-floor leg runs it
-    against ``benchmarks/baselines/qps.json``.
+    (falling below baseline fails) — the CI serve-bench and
+    tune-bench legs run it against their pinned baselines.
 ``overhead [--budget F --repeats N]``
     Measure traced vs untraced query wall time (best-of-N) and fail
     when tracing exceeds the fractional budget.
@@ -55,11 +55,6 @@ Commands
     fig9-medium workload; writes ``BENCH_shard.json`` and fails unless
     4-shard critical-path QPS beats 1-shard
     (see :mod:`repro.bench.shard_bench`).
-``vector-bench [--out FILE --n N --size small|medium --k K --repeats R]``
-    Columnar-vs-scalar batch throughput on the fig9-medium slope-group
-    fan; asserts identical answers and page accounting, writes
-    ``BENCH_vector.json`` whose ``counters`` section feeds the CI
-    QPS-floor gate (see :mod:`repro.bench.vector_bench`).
 ``tune --data-dir DIR (--queries FILE | --slope-log FILE) [--k K --apply --out DIR]``
     Adaptive slope-set tuning (:mod:`repro.tune`): learn a slope set
     from observed query slopes (a query file, or a slope-log snapshot
@@ -389,35 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     shard_bench.add_argument(
         "--repeats", type=int, default=None,
         help="timed build attempts per worker count (best-of; default 2)",
-    )
-
-    vector_bench = sub.add_parser(
-        "vector-bench",
-        help="columnar-vs-scalar batch QPS benchmark (BENCH_vector.json)",
-        description=(
-            "Benchmark the columnar B+-tree hot path against the scalar "
-            "engine on the fig9-medium slope-group fan batch. Answers "
-            "and page accounting are asserted identical between the two "
-            "engines (exit 1 on divergence). Writes BENCH_vector.json; "
-            "its counters section feeds `repro bench-diff --mode floor` "
-            "in the CI QPS gate."
-        ),
-    )
-    vector_bench.add_argument(
-        "--out", default=None,
-        help="where to write the JSON payload (default BENCH_vector.json)",
-    )
-    vector_bench.add_argument("--n", type=int, default=None,
-                              help="relation size (default 2000)")
-    vector_bench.add_argument("--size", default=None,
-                              choices=["small", "medium"])
-    vector_bench.add_argument("--k", type=int, default=None,
-                              help="slope count (default 3)")
-    vector_bench.add_argument("--seed", type=int, default=None,
-                              help="workload seed")
-    vector_bench.add_argument(
-        "--repeats", type=int, default=None,
-        help="timed attempts per engine (best-of; default 5)",
     )
 
     bench_diff = sub.add_parser(
@@ -933,8 +899,6 @@ def main(argv: list[str] | None = None) -> int:
         return _smoke(args)
     if args.command == "shard-bench":
         return _shard_bench(args)
-    if args.command == "vector-bench":
-        return _vector_bench(args)
     if args.command == "tune":
         return _tune(args)
     if args.command == "tune-bench":
@@ -1045,7 +1009,13 @@ def _load_workload(args):
     """Shared by ``query`` and ``trace``: (relation, planner, query)."""
     from repro.constraints import GeneralizedRelation, parse_tuple
     from repro.core import DualIndexPlanner, HalfPlaneQuery, SlopeSet
+    from repro.errors import QueryError
 
+    theta = ">=" if args.theta == "GE" else "<="
+    try:
+        query = HalfPlaneQuery(args.type, args.slope, args.intercept, theta)
+    except QueryError as exc:
+        raise SystemExit(f"{args.command}: {exc}")
     relation = GeneralizedRelation(name=os.path.basename(args.tuples))
     with open(args.tuples) as handle:
         for line_no, line in enumerate(handle, 1):
@@ -1060,8 +1030,6 @@ def _load_workload(args):
     else:
         slopes = SlopeSet.uniform_angles(3)
     planner = DualIndexPlanner.build(relation, slopes)
-    theta = ">=" if args.theta == "GE" else "<="
-    query = HalfPlaneQuery(args.type, args.slope, args.intercept, theta)
     return relation, planner, query
 
 
@@ -1149,6 +1117,7 @@ def _load_relation(
 def _parse_query_file(path: str):
     """One query per line: ``ALL|EXIST <slope> <intercept> <GE|LE>``."""
     from repro.core import HalfPlaneQuery
+    from repro.errors import QueryError
 
     queries = []
     with open(path) as handle:
@@ -1170,9 +1139,12 @@ def _parse_query_file(path: str):
                     f"{path}:{line_no}: theta must be GE or LE, got "
                     f"{parts[3]!r}"
                 )
-            queries.append(
-                HalfPlaneQuery(parts[0], float(parts[1]), float(parts[2]), theta)
-            )
+            try:
+                queries.append(HalfPlaneQuery(
+                    parts[0], float(parts[1]), float(parts[2]), theta
+                ))
+            except (ValueError, QueryError) as exc:
+                raise SystemExit(f"{path}:{line_no}: {exc}")
     return queries
 
 
@@ -1526,25 +1498,6 @@ def _shard_bench(args) -> int:
     if args.repeats is not None:
         argv += ["--repeats", str(args.repeats)]
     return shard_bench.main(argv)
-
-
-def _vector_bench(args) -> int:
-    from repro.bench import vector_bench
-
-    argv: list[str] = []
-    if args.out:
-        argv += ["--out", args.out]
-    if args.n is not None:
-        argv += ["--n", str(args.n)]
-    if args.size is not None:
-        argv += ["--size", args.size]
-    if args.k is not None:
-        argv += ["--k", str(args.k)]
-    if args.seed is not None:
-        argv += ["--seed", str(args.seed)]
-    if args.repeats is not None:
-        argv += ["--repeats", str(args.repeats)]
-    return vector_bench.main(argv)
 
 
 def _tune(args) -> int:

@@ -113,15 +113,12 @@ class DualIndexPlanner:
         pivot_x: float = 0.0,
         workers: int = 0,
         name: str = "dual",
-        columnar: bool | None = None,
     ) -> "DualIndexPlanner":
         """Index a relation and return a ready planner.
 
         ``workers >= 2`` builds the key set on a process pool with
         vectorized per-worker evaluation (see :meth:`DualIndex.build`);
         the resulting index is byte-identical to a serial build.
-        ``columnar=False`` forces the scalar B+-tree path (answers and
-        page accounting are identical; used for differential testing).
         """
         index = DualIndex(
             pager=pager,
@@ -129,7 +126,6 @@ class DualIndexPlanner:
             key_codec=KeyCodec(key_bytes),
             dynamic=dynamic,
             name=name,
-            columnar=columnar,
         )
         index.build(relation, fill, workers=workers)
         return cls(index, technique=technique, pivot_x=pivot_x)

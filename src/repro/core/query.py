@@ -13,6 +13,7 @@ the page accesses charged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -72,9 +73,16 @@ class HalfPlaneQuery:
             slope_t = tuple(float(v) for v in slope)
         if not slope_t:
             raise QueryError("empty query slope")
+        if not all(math.isfinite(v) for v in slope_t):
+            raise QueryError(f"query slope must be finite, got {slope!r}")
+        intercept = float(intercept)
+        if not math.isfinite(intercept):
+            raise QueryError(
+                f"query intercept must be finite, got {intercept!r}"
+            )
         object.__setattr__(self, "query_type", query_type)
         object.__setattr__(self, "slope", slope_t)
-        object.__setattr__(self, "intercept", float(intercept))
+        object.__setattr__(self, "intercept", intercept)
         object.__setattr__(self, "theta", theta)
 
     # ------------------------------------------------------------------

@@ -3,10 +3,10 @@
 Every restricted-slope read goes through :func:`restricted_sweep`: the
 sequential exact path (one intercept), T1's app-queries (one intercept,
 nothing accepted early) and the batch executor's slope groups (many
-intercepts, one merged sweep). The tree runs its own
-``sweep_up_multi``/``sweep_down_multi`` — columnar or scalar — and the
-split into accepted/boundary candidates is one ``np.searchsorted`` over
-the swept key column either way.
+intercepts, one merged sweep). The tree runs one
+``sweep_up_multi``/``sweep_down_multi``, and the split into
+accepted/boundary candidates is one ``np.searchsorted`` over the swept
+key column.
 """
 
 from __future__ import annotations
@@ -48,14 +48,13 @@ def restricted_sweep(
     margins = [sign * index.margin(b) for b in intercepts]
     starts = [b - m for b, m in zip(intercepts, margins)]
     ends = [b + m for b, m in zip(intercepts, margins)]
-    path = "columnar" if tree.columnar else "scalar"
-    with obs.span(span, tree=tree.name, queries=len(intercepts), path=path):
+    with obs.span(span, tree=tree.name, queries=len(intercepts)):
         sweep = (
             tree.sweep_up_multi(starts)
             if upward
             else tree.sweep_down_multi(starts)
         )
-    keys, rids = sweep.arrays()
+    keys, rids = sweep.keys, sweep.rids
     if accept:
         # The sweep runs toward the accept region in both directions:
         # ascending keys for an up-sweep (accept keys >= end), descending

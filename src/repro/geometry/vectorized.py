@@ -28,6 +28,7 @@ slabs) fall back to the scalar engine. Answer sets produced by
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -42,6 +43,12 @@ from repro.geometry.predicates import ORACLE_TOL
 #: Ray threshold of the scalar fast path (``_support_2d_fast``).
 _RAY_TOL = 1e-9
 
+#: Byte budget of one surface's per-slope TOP/BOT column cache. Slopes
+#: come from clients, so past this the oldest columns are evicted. At
+#: n=2000 a column is 16 kB, so 256 MiB holds 16k columns: four times a
+#: 4096-slope working set.
+SURFACE_CACHE_BYTES = 256 * 1024 * 1024
+
 
 class DualSurface:
     """The dual representation of a tuple collection as flat numpy arrays.
@@ -49,8 +56,9 @@ class DualSurface:
     Build once per relation snapshot (one pass over the tuples), then
     evaluate :meth:`top_at` / :meth:`bot_at` per slope — each evaluation
     is a handful of vectorized numpy operations over all tuples at once.
-    Per-slope results are memoised, so a batch of queries sharing a slope
-    pays for exactly one evaluation pass.
+    Per-slope results are memoised up to :data:`SURFACE_CACHE_BYTES`
+    (oldest evicted first), so a batch of queries sharing a slope pays
+    for exactly one evaluation pass.
 
     Example::
 
@@ -110,8 +118,11 @@ class DualSurface:
         self._ray_x = np.asarray(ray_x, dtype=np.float64)
         self._ray_y = np.asarray(ray_y, dtype=np.float64)
         self._ray_owner = np.asarray(ray_owner, dtype=np.intp)
-        self._top_cache: dict[float, np.ndarray] = {}
-        self._bot_cache: dict[float, np.ndarray] = {}
+        #: ``(upper, slope) -> column``, oldest first.
+        self._cache: OrderedDict[tuple[bool, float], np.ndarray] = (
+            OrderedDict()
+        )
+        self._cache_bytes = 0
 
     # ------------------------------------------------------------------
     # construction
@@ -136,20 +147,23 @@ class DualSurface:
     # ------------------------------------------------------------------
     def top_at(self, slope: float) -> np.ndarray:
         """``TOP^P(slope)`` for every tuple, in one vectorized pass."""
-        slope = float(slope)
-        cached = self._top_cache.get(slope)
-        if cached is None:
-            cached = self._evaluate(slope, upper=True)
-            self._top_cache[slope] = cached
-        return cached
+        return self._column(float(slope), upper=True)
 
     def bot_at(self, slope: float) -> np.ndarray:
         """``BOT^P(slope)`` for every tuple, in one vectorized pass."""
-        slope = float(slope)
-        cached = self._bot_cache.get(slope)
+        return self._column(float(slope), upper=False)
+
+    def _column(self, slope: float, upper: bool) -> np.ndarray:
+        key = (upper, slope)
+        cached = self._cache.get(key)
         if cached is None:
-            cached = self._evaluate(slope, upper=False)
-            self._bot_cache[slope] = cached
+            cached = self._evaluate(slope, upper)
+            self._cache[key] = cached
+            self._cache_bytes += cached.nbytes
+            while (self._cache_bytes > SURFACE_CACHE_BYTES
+                   and len(self._cache) > 1):
+                _, old = self._cache.popitem(last=False)
+                self._cache_bytes -= old.nbytes
         return cached
 
     def _evaluate(self, slope: float, upper: bool) -> np.ndarray:
@@ -240,8 +254,7 @@ class DualSurface:
     def __repr__(self) -> str:
         return (
             f"<DualSurface tuples={len(self)} vertices={self._vx.size} "
-            f"rays={self._ray_x.size} slopes_cached="
-            f"{len(self._top_cache) + len(self._bot_cache)}>"
+            f"rays={self._ray_x.size} slopes_cached={len(self._cache)}>"
         )
 
 

@@ -136,7 +136,6 @@ def rebuild_planner(
         pivot_x=planner.pivot_x,
         workers=workers,
         name=planner.index.name,
-        columnar=planner.index.columnar,
     )
     registry = get_registry()
     registry.counter(

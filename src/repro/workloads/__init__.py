@@ -10,6 +10,7 @@ from repro.workloads.generator import (
 )
 from repro.workloads.queries import (
     actual_selectivity,
+    fan_batch,
     intercept_for_selectivity,
     make_queries,
     random_query,
@@ -33,6 +34,7 @@ __all__ = [
     "random_edge_angles",
     "bounding_rect_of",
     "make_queries",
+    "fan_batch",
     "random_query",
     "intercept_for_selectivity",
     "surface_values",

@@ -16,6 +16,7 @@ import random
 from repro.constraints.relation import GeneralizedRelation
 from repro.constraints.theta import Theta
 from repro.core.query import ALL, EXIST, HalfPlaneQuery
+from repro.core.slope_set import SlopeSet
 from repro.errors import QueryError
 from repro.geometry import dual
 from repro.workloads.generator import random_edge_angles
@@ -129,6 +130,27 @@ def make_queries(
         )
         for _ in range(count)
     ]
+
+
+def fan_batch(k: int, width: int = 20) -> list[HalfPlaneQuery]:
+    """The slope-group fan: ``k × width × 4`` exact-path queries.
+
+    For every slope of ``SlopeSet.uniform_angles(k)``, ``width``
+    intercepts × {EXIST, ALL} × {>=, <=}, which group into one merged
+    sweep per (slope, direction, type). Intercepts sweep the populated
+    key range so per-query answer sets span empty to nearly-everything;
+    the per-slope offset keeps fans on different slopes from quantizing
+    to identical key sets.
+    """
+    queries: list[HalfPlaneQuery] = []
+    for i, slope in enumerate(SlopeSet.uniform_angles(k)):
+        for j in range(width):
+            intercept = -40.0 + 80.0 * j / max(width - 1, 1) + 0.37 * i
+            queries.append(HalfPlaneQuery(EXIST, slope, intercept, ">="))
+            queries.append(HalfPlaneQuery(EXIST, slope, -intercept, "<="))
+            queries.append(HalfPlaneQuery(ALL, slope, intercept, ">="))
+            queries.append(HalfPlaneQuery(ALL, slope, -intercept, "<="))
+    return queries
 
 
 def actual_selectivity(

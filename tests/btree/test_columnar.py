@@ -1,8 +1,8 @@
-"""Columnar node codecs and vectorized descent vs the scalar path.
+"""Columnar node codecs and vectorized descent vs a brute-force reference.
 
-Satellite coverage for the columnar hot path: array (de)serialization
-round-trips must carry exactly what the scalar decoders carry, and
-``np.searchsorted`` descent must agree with the scalar per-entry walk on
+Array (de)serialization round-trips must carry exactly what the list
+decoders carry, and ``np.searchsorted`` descent and merged sweeps must
+agree with a plain sorted list of the inserted (quantized) entries on
 the degenerate shapes where off-by-ones live — empty trees, a single
 leaf, long duplicate-key runs, and start keys that hit stored keys
 exactly.
@@ -21,18 +21,14 @@ def make_layout(key_bytes=8, aux_slots=0, page_size=256):
     return NodeLayout(page_size, KeyCodec(key_bytes), aux_slots)
 
 
-def tree_pair(entries, key_bytes=8, aux_slots=0, page_size=256):
-    """(scalar tree, columnar tree) loaded with the same entries."""
-    trees = []
-    for columnar in (False, True):
-        tree = BPlusTree(
-            Pager(page_size=page_size), KeyCodec(key_bytes), aux_slots,
-            columnar=columnar,
-        )
-        for key, rid in entries:
-            tree.insert(key, rid)
-        trees.append(tree)
-    return trees
+def loaded_tree(entries, key_bytes=8, page_size=256):
+    """A small-page tree with ``entries`` inserted one by one, and the
+    scalar reference: the sorted list of its quantized entries."""
+    tree = BPlusTree(Pager(page_size=page_size), KeyCodec(key_bytes))
+    for key, rid in entries:
+        tree.insert(key, rid)
+    reference = sorted((tree.quantize(k), rid) for k, rid in entries)
+    return tree, reference
 
 
 class TestArrayRoundTrips:
@@ -147,59 +143,65 @@ def starts_for(entries):
 
 @pytest.mark.parametrize("case", sorted(DEGENERATE_CASES))
 class TestDescentParity:
+    """Descent and merged sweeps against the scalar reference: a plain
+    sorted list of the quantized entries."""
+
     def test_search_matches_scalar(self, case):
-        entries = DEGENERATE_CASES[case]
-        scalar, columnar = tree_pair(entries)
-        for key in starts_for(entries):
-            assert columnar.search(key) == scalar.search(key), key
-        columnar.check_invariants()
+        tree, reference = loaded_tree(DEGENERATE_CASES[case])
+        for key in starts_for(DEGENERATE_CASES[case]):
+            qkey = tree.quantize(key)
+            want = [rid for k, rid in reference if k == qkey]
+            assert tree.search(key) == want, key
+        tree.check_invariants()
 
     def test_multi_sweeps_match_scalar(self, case):
-        entries = DEGENERATE_CASES[case]
-        scalar, columnar = tree_pair(entries)
-        starts = starts_for(entries)
-        for method in ("sweep_up_multi", "sweep_down_multi"):
-            got = getattr(columnar, method)(starts)
-            want = getattr(scalar, method)(starts)
-            gk, gr = got.arrays()
-            wk, wr = want.arrays()
-            assert gk.tolist() == wk.tolist(), method
-            assert gr.tolist() == wr.tolist(), method
-            assert list(got.offsets) == list(want.offsets), method
-            assert got.leaves == want.leaves, method
-            for i in range(len(starts)):
-                assert got.entries_for(i) == want.entries_for(i)
+        tree, reference = loaded_tree(DEGENERATE_CASES[case])
+        starts = starts_for(DEGENERATE_CASES[case])
+        up = tree.sweep_up_multi(starts)
+        down = tree.sweep_down_multi(starts)
+        for got in (up, down):
+            assert got.keys.dtype == np.float64
+            assert got.rids.dtype == np.int64
+            assert len(got.offsets) == len(starts)
+        for i, start in enumerate(starts):
+            q = tree.quantize(start)
+            want_up = [e for e in reference if e[0] >= q]
+            want_down = [e for e in reversed(reference) if e[0] <= q]
+            assert list(zip(*up.entries_for(i))) == want_up, start
+            assert list(zip(*down.entries_for(i))) == want_down, start
+            # Alone, each start is the sweep's extreme: its descent and
+            # first-leaf trim are exercised, not just its offset.
+            alone_up = tree.sweep_up_multi([start])
+            alone_down = tree.sweep_down_multi([start])
+            assert list(zip(*alone_up.entries_for(0))) == want_up, start
+            assert list(zip(*alone_down.entries_for(0))) == want_down, start
 
     def test_page_accounting_bit_identical(self, case):
-        entries = DEGENERATE_CASES[case]
-        scalar, columnar = tree_pair(entries)
-        starts = starts_for(entries)
-        counts = []
-        for tree in (scalar, columnar):
-            before = tree.pager.stats.logical_reads
-            tree.sweep_up_multi(starts)
-            tree.sweep_down_multi(starts)
-            for key in starts:
-                tree.search(key)
-            counts.append(tree.pager.stats.logical_reads - before)
-        assert counts[0] == counts[1]
+        # A merged sweep costs exactly the widest single sweep: one
+        # descent to the extreme start, then every leaf to the chain end.
+        tree, _ = loaded_tree(DEGENERATE_CASES[case])
+        starts = starts_for(DEGENERATE_CASES[case])
+        descent = max(tree.height - 1, 0)
+        for multi, single, widest in (
+            (tree.sweep_up_multi, tree.items_from, min(starts)),
+            (tree.sweep_down_multi, tree.items_to, max(starts)),
+        ):
+            with tree.pager.measure() as scope:
+                sweep = multi(starts)
+            merged = scope.delta.logical_reads
+            with tree.pager.measure() as scope:
+                list(single(widest))
+            assert merged == scope.delta.logical_reads
+            assert sweep.leaves == merged - (descent if sweep.leaves else 0)
 
 
 class TestWriteInvalidation:
     def test_insert_after_read_is_visible(self):
         # A cached decoded page must never mask a subsequent write.
-        _, columnar = tree_pair([(float(i), i) for i in range(50)])
-        assert columnar.search(25.0) == [25]
-        columnar.insert(25.0, 999)
-        assert sorted(columnar.search(25.0)) == [25, 999]
-        columnar.delete(25.0, 25)
-        assert columnar.search(25.0) == [999]
-        columnar.check_invariants()
-
-    def test_scalar_env_forces_scalar_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALAR", "1")
-        tree = BPlusTree(Pager(page_size=256), KeyCodec(8))
-        assert tree.columnar is False
-        monkeypatch.delenv("REPRO_SCALAR")
-        tree = BPlusTree(Pager(page_size=256), KeyCodec(8))
-        assert tree.columnar is True
+        tree, _ = loaded_tree([(float(i), i) for i in range(50)])
+        assert tree.search(25.0) == [25]
+        tree.insert(25.0, 999)
+        assert sorted(tree.search(25.0)) == [25, 999]
+        tree.delete(25.0, 25)
+        assert tree.search(25.0) == [999]
+        tree.check_invariants()

@@ -42,6 +42,12 @@ def test_query_from_file(tmp_path, capsys):
     assert "answers  : 1 of 3 tuples" in out
     assert "tuple 1" in out
 
+    # A non-finite slope is rejected, never answered.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["query", "--tuples", str(tuples), "--type", "EXIST",
+              "--slope", "nan", "--intercept", "4.0"])
+    assert "finite" in str(excinfo.value.code)
+
 
 def test_query_all_from_file(tmp_path, capsys):
     tuples = tmp_path / "tuples.txt"
@@ -329,3 +335,12 @@ def test_batch_from_data_dir(tmp_path, capsys):
 
     assert main(["batch", "--queries", str(queries)]) == 2
     assert "--data-dir" in capsys.readouterr().err
+
+    # Non-finite slopes or intercepts are reported as path:line errors.
+    for line in ("EXIST nan 0.0 GE", "ALL 0.5 inf LE", "ALL -inf 1.0 GE"):
+        queries.write_text(f"EXIST 0.0 4.0 GE\n{line}\n")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["batch", "--data-dir", str(data_dir),
+                  "--queries", str(queries)])
+        assert str(excinfo.value.code).startswith(f"{queries}:2: ")
+        assert "finite" in str(excinfo.value.code)

@@ -63,6 +63,14 @@ class TestDispatch:
         with pytest.raises(QueryError):
             planner.query(HalfPlaneQuery(EXIST, (1.0, 2.0), 0.0, Theta.GE))
 
+    @pytest.mark.parametrize("slope, intercept", [
+        (float("nan"), 0.0), (0.5, float("inf")), (float("-inf"), 1.0),
+        ((1.0, float("nan")), 0.0), (0.0, float("nan")),
+    ])
+    def test_non_finite_query_rejected(self, slope, intercept):
+        with pytest.raises(QueryError, match="finite"):
+            HalfPlaneQuery(EXIST, slope, intercept, Theta.GE)
+
 
 class TestExactPath:
     def test_matches_oracle_all_forms(self, setup, rng):

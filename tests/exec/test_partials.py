@@ -11,25 +11,18 @@ materialisation.
 import numpy as np
 import pytest
 
-from repro.bench.vector_bench import fan_batch
 from repro.core import ALL, EXIST, DualIndexPlanner, HalfPlaneQuery, SlopeSet
 from repro.core.query import QueryResult
 from repro.exec import BatchExecutor
 from repro.exec.partials import TECH_NAMES, ShardPartials
 from repro.shard import ShardedDualIndex
-from repro.workloads import make_relation
-
-
-def _planner(columnar):
-    relation = make_relation(250, "small", seed=7)
-    return DualIndexPlanner.build(
-        relation, SlopeSet.uniform_angles(3), columnar=columnar
-    )
+from repro.workloads import fan_batch, make_relation
 
 
 @pytest.fixture(scope="module")
 def planner():
-    return _planner(columnar=True)
+    relation = make_relation(250, "small", seed=7)
+    return DualIndexPlanner.build(relation, SlopeSet.uniform_angles(3))
 
 
 @pytest.fixture(scope="module")
@@ -86,14 +79,6 @@ class TestExecutePartialsParity:
         parts = BatchExecutor(planner, cache_size=0).execute_partials([])
         assert len(parts) == 0
         assert parts.tids.size == 0
-
-
-class TestExecutePartialsParityScalar(TestExecutePartialsParity):
-    """The same parity on the scalar B+-tree engine."""
-
-    @pytest.fixture(scope="class")
-    def planner(self):
-        return _planner(columnar=False)
 
 
 class TestShardedProcessFanout:

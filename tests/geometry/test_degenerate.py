@@ -134,3 +134,32 @@ class TestVectorizedDegenerate:
                         if predicate(t.extension(), s, b, theta)
                     }
                     assert surface.answer(query_type, s, b, theta) == want
+
+
+class TestSurfaceCacheBudget:
+    def test_cache_evicts_oldest_past_budget(self, monkeypatch):
+        from repro.geometry import vectorized
+        from repro.workloads import make_relation
+
+        items = sorted(make_relation(40, "small", seed=3))
+        column = 40 * 8  # one float64 per tuple
+        monkeypatch.setattr(vectorized, "SURFACE_CACHE_BYTES", 5 * column)
+        surface = DualSurface.from_items(items)
+        reference = DualSurface.from_items(items)
+        slopes = [0.1 * i - 2.0 for i in range(30)]
+        first = {s: (surface.top_at(s).copy(), surface.bot_at(s).copy())
+                 for s in slopes}
+        assert surface._cache_bytes <= 5 * column
+        assert len(surface._cache) == 5
+        assert surface._cache_bytes == sum(
+            v.nbytes for v in surface._cache.values()
+        )
+        # Evicted slopes re-evaluate to identical values, on this surface
+        # and on one that never evicted them.
+        monkeypatch.setattr(vectorized, "SURFACE_CACHE_BYTES", 1 << 30)
+        for s in slopes:
+            top, bot = first[s]
+            assert surface.top_at(s).tolist() == top.tolist()
+            assert surface.bot_at(s).tolist() == bot.tolist()
+            assert reference.top_at(s).tolist() == top.tolist()
+            assert reference.bot_at(s).tolist() == bot.tolist()

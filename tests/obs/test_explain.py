@@ -12,7 +12,7 @@ from repro.obs.explain import (
     traced_answer,
 )
 from repro.obs.trace import Span
-from repro.workloads import make_relation
+from repro.workloads import fan_batch, make_relation
 
 QUERIES = [
     HalfPlaneQuery(EXIST, 0.5, 2.0, ">="),
@@ -39,55 +39,6 @@ def sharded():
     engine.close()
 
 
-class TestPathColumn:
-    """Index rows must say which hot path (columnar/scalar) served them."""
-
-    def exact_queries(self):
-        slope = SlopeSet.uniform_angles(3)[0]
-        return [
-            HalfPlaneQuery(EXIST, slope, 1.0, ">="),
-            HalfPlaneQuery(ALL, slope, -1.0, "<="),
-        ]
-
-    def test_columnar_engine_reports_columnar(self):
-        planner = DualIndexPlanner.build(
-            make_relation(80, "small", seed=11),
-            SlopeSet.uniform_angles(3), columnar=True,
-        )
-        report = explain(planner, self.exact_queries())
-        assert report.index_rows[planner.index.name]["path"] == "columnar"
-
-    def test_scalar_engine_reports_scalar(self):
-        planner = DualIndexPlanner.build(
-            make_relation(80, "small", seed=11),
-            SlopeSet.uniform_angles(3), columnar=False,
-        )
-        report = explain(planner, self.exact_queries())
-        assert report.index_rows[planner.index.name]["path"] == "scalar"
-
-    def test_render_includes_path(self):
-        planner = DualIndexPlanner.build(
-            make_relation(80, "small", seed=11),
-            SlopeSet.uniform_angles(3), columnar=True,
-        )
-        text = render_explain(explain(planner, self.exact_queries()))
-        assert "path=columnar" in text
-
-    def test_vectorized_batch_attribution_identity(self):
-        # The Σ-exclusive == inclusive identity must hold on the
-        # vectorized batch path too (explain() raises on violation; the
-        # assertions pin the checked totals).
-        planner = DualIndexPlanner.build(
-            make_relation(120, "small", seed=11),
-            SlopeSet.uniform_angles(3), columnar=True,
-        )
-        from repro.bench.vector_bench import fan_batch
-
-        report = explain(planner, fan_batch(3, width=2), batch=True)
-        assert sum(report.phase_pages.values()) == report.total_pages
-        assert report.total_pages > 0
-
-
 class TestExplain:
     def test_attribution_sums_to_inclusive(self, planner):
         report = explain(planner, QUERIES)
@@ -105,6 +56,17 @@ class TestExplain:
         row = report.index_rows[planner.index.name]
         assert row["queries"] == len(QUERIES)
         assert row["pages"] == report.total_pages
+
+    def test_vectorized_batch_attribution_identity(self):
+        # The Σ-exclusive == inclusive identity must hold on the
+        # vectorized batch path too (explain() raises on violation; the
+        # assertions pin the checked totals).
+        planner = DualIndexPlanner.build(
+            make_relation(120, "small", seed=11), SlopeSet.uniform_angles(3)
+        )
+        report = explain(planner, fan_batch(3, width=2), batch=True)
+        assert sum(report.phase_pages.values()) == report.total_pages
+        assert report.total_pages > 0
 
     def test_descent_heights_recorded(self, planner):
         report = explain(planner, QUERIES)

@@ -9,6 +9,7 @@ from repro.core import ALL, EXIST
 from repro.errors import QueryError
 from repro.workloads import (
     actual_selectivity,
+    fan_batch,
     intercept_for_selectivity,
     make_queries,
     make_relation,
@@ -73,3 +74,19 @@ class TestGenerators:
         a = make_queries(relation, 5, EXIST, seed=10)
         b = make_queries(relation, 5, EXIST, seed=10)
         assert a == b
+
+
+class TestFanBatch:
+    def test_shape_and_validity(self):
+        queries = fan_batch(2, width=5)
+        assert len(queries) == 2 * 5 * 4
+        types = {q.query_type for q in queries}
+        thetas = {q.theta for q in queries}
+        assert types == {"ALL", "EXIST"}
+        assert len(thetas) == 2
+        # Each (slope, type, theta) fan has distinct intercepts.
+        seen = set()
+        for q in queries:
+            key = (q.slope, q.query_type, q.theta, q.intercept)
+            assert key not in seen
+            seen.add(key)
