@@ -32,6 +32,7 @@ import sys
 import time
 
 from repro.bench import harness
+from repro.bench.smoke import SMOKE_K, SMOKE_N, SMOKE_QUERIES, SMOKE_SIZE
 from repro.core.query import ALL, EXIST
 from repro.obs.trace import QueryTrace, tracing
 
@@ -62,18 +63,19 @@ def _run_workload(planner, queries, traced: bool) -> float:
     return time.perf_counter() - start
 
 
-def measure(
-    n: int = 500,
-    size: str = "small",
-    k: int = 3,
-    count: int = 4,
-    repeats: int = 5,
-) -> tuple[float, float]:
-    """``(untraced_best, traced_best)`` seconds over the smoke queries."""
-    planner = harness.dual_planner(n, size, k)
+def _smoke_workload():
+    """The smoke gate's planner and query batch (its fixed parameters)."""
+    planner = harness.dual_planner(SMOKE_N, SMOKE_SIZE, SMOKE_K)
     queries = []
     for qtype in (EXIST, ALL):
-        queries.extend(harness.queries_for(n, size, qtype, k, count=count))
+        queries.extend(harness.queries_for(
+            SMOKE_N, SMOKE_SIZE, qtype, SMOKE_K, count=SMOKE_QUERIES))
+    return planner, queries
+
+
+def measure(repeats: int) -> tuple[float, float]:
+    """``(untraced_best, traced_best)`` seconds over the smoke queries."""
+    planner, queries = _smoke_workload()
     # Warm both paths once (buffer pool, key caches) so neither mode
     # pays cold-start costs the other already amortized.
     _run_workload(planner, queries, traced=False)
@@ -118,29 +120,18 @@ def _serve_elapsed(
 
 
 def measure_serve(
-    n: int = 500,
-    size: str = "small",
-    k: int = 3,
-    count: int = 4,
-    repeats: int = 3,
-    requests: int = 400,
-    concurrency: int = 8,
-    trace_sample: int = 64,
+    repeats: int, requests: int, concurrency: int, trace_sample: int
 ) -> tuple[float, float, float]:
     """``(off_best, on_best, best_paired_delta)`` serve-path seconds.
 
     Both modes answer the same closed-loop workload; the traced mode
     runs with per-request ids, the cost watchdog, the slow-query log,
     and a span tree every ``trace_sample`` requests — the full
-    production observability surface, not a stripped-down one. The
-    default cadence (64) matches what the CI serve job drives; span
-    trees are the one per-request knob, and the gate prices them at
-    the rate production actually pays.
+    production observability surface, not a stripped-down one. Span
+    trees are the one per-request knob; ``--trace-sample`` defaults to
+    the cadence the CI serve gate measures.
     """
-    planner = harness.dual_planner(n, size, k)
-    queries = []
-    for qtype in (EXIST, ALL):
-        queries.extend(harness.queries_for(n, size, qtype, k, count=count))
+    planner, queries = _smoke_workload()
     # Interleave the two modes (off, on, off, on, ...) rather than
     # timing all of one then all of the other: wall-clock drift on a
     # shared runner (thermal, noisy neighbours) then lands on both
@@ -170,10 +161,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--repeats", type=int, default=5,
                         help="best-of repeats per mode (default 5)")
-    parser.add_argument("--n", type=int, default=500)
-    parser.add_argument("--size", default="small")
-    parser.add_argument("--k", type=int, default=3)
-    parser.add_argument("--count", type=int, default=4)
     parser.add_argument(
         "--serve", action="store_true",
         help="gate the serve path's request tracing (ids + watchdog + "
@@ -188,14 +175,13 @@ def main(argv: list[str] | None = None) -> int:
         help="serve mode: closed-loop client connections",
     )
     parser.add_argument(
-        "--trace-sample", type=int, default=64,
+        "--trace-sample", type=int, default=16,
         help="serve mode: span-tree cadence in the traced run "
-             "(default 64, the CI serve cadence)",
+             "(default 16, the cadence the CI serve gate measures)",
     )
     args = parser.parse_args(argv)
     if args.serve:
         untraced, traced, paired = measure_serve(
-            n=args.n, size=args.size, k=args.k, count=args.count,
             repeats=args.repeats, requests=args.requests,
             concurrency=args.concurrency, trace_sample=args.trace_sample,
         )
@@ -220,10 +206,7 @@ def main(argv: list[str] | None = None) -> int:
             )
             return 1
         return 0
-    untraced, traced = measure(
-        n=args.n, size=args.size, k=args.k, count=args.count,
-        repeats=args.repeats,
-    )
+    untraced, traced = measure(repeats=args.repeats)
     limit = untraced * (1.0 + args.budget) + ABSOLUTE_SLACK
     overhead = (traced - untraced) / untraced if untraced else 0.0
     print(

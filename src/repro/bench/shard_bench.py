@@ -72,33 +72,25 @@ def _build_queries(n: int, size: str, k: int, count: int) -> list[HalfPlaneQuery
     return queries
 
 
-def time_build(
-    n: int, size: str, k: int, workers: int, seed: int, repeats: int
-) -> float:
+def time_build(workers: int, repeats: int) -> float:
     """Best-of-``repeats`` wall time of a full index build.
 
     Each attempt regenerates the relation from scratch so tuple
     extension caches cannot leak work across runs.
     """
-    slopes = SlopeSet.uniform_angles(k)
+    slopes = SlopeSet.uniform_angles(FIG9_K)
     best = float("inf")
     for _ in range(repeats):
-        relation = make_relation(n, size, seed=seed)
+        relation = make_relation(FIG9_N, FIG9_SIZE, seed=harness.SEED)
         start = time.perf_counter()
         DualIndexPlanner.build(relation, slopes, workers=workers)
         best = min(best, time.perf_counter() - start)
     return best
 
 
-def run_bench(
-    n: int = FIG9_N,
-    size: str = FIG9_SIZE,
-    k: int = FIG9_K,
-    seed: int = harness.SEED,
-    repeats: int = 2,
-    queries_per_type: int = 6,
-) -> dict:
+def run_bench(repeats: int, queries_per_type: int = 6) -> dict:
     """Run both legs and return the ``BENCH_shard.json`` payload."""
+    n, size, k, seed = FIG9_N, FIG9_SIZE, FIG9_K, harness.SEED
     payload: dict = {
         "workload": {
             "figure": "9 (medium objects)",
@@ -114,7 +106,7 @@ def run_bench(
 
     build_seconds: dict[int, float] = {}
     for workers in BUILD_WORKER_COUNTS:
-        seconds = time_build(n, size, k, workers, seed, repeats)
+        seconds = time_build(workers, repeats)
         build_seconds[workers] = seconds
         payload["build"].append(
             {
@@ -244,23 +236,12 @@ def main(argv: list[str] | None = None) -> int:
         "--out", default=DEFAULT_OUT,
         help=f"where to write the JSON payload (default {DEFAULT_OUT})",
     )
-    parser.add_argument("--n", type=int, default=FIG9_N, help="relation size")
-    parser.add_argument(
-        "--size", default=FIG9_SIZE, choices=["small", "medium"]
-    )
-    parser.add_argument("--k", type=int, default=FIG9_K, help="slope count")
-    parser.add_argument(
-        "--seed", type=int, default=harness.SEED, help="workload seed"
-    )
     parser.add_argument(
         "--repeats", type=int, default=2,
         help="timed build attempts per worker count (best-of; default 2)",
     )
     args = parser.parse_args(argv)
-    payload = run_bench(
-        n=args.n, size=args.size, k=args.k, seed=args.seed,
-        repeats=args.repeats,
-    )
+    payload = run_bench(repeats=args.repeats)
     with open(args.out, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")

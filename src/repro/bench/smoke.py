@@ -18,10 +18,12 @@ accesses*, into a :class:`~repro.obs.MetricsRegistry`:
   wall time (informational).
 
 The gate compares the registry's ``counters`` section against a
-checked-in baseline (``benchmarks/baselines/smoke.json``): any counter
-above its baseline value, or any baseline counter missing from the
-current run, fails. Logical page counts are deterministic — same seed,
-same build, same sweep — so the gate is flake-free by construction.
+checked-in baseline (``benchmarks/baselines/smoke.json``) with
+:func:`repro.bench.diff.diff_counters` at threshold 0 in ceiling mode
+(the ``repro bench-diff`` gate): any counter above its baseline value,
+or any baseline counter missing from the current run, fails. Logical
+page counts are deterministic — same seed, same build, same sweep — so
+the gate is flake-free by construction.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import sys
 import time
 
 from repro.bench import harness
+from repro.bench.diff import diff_counters
 from repro.core import ALL, EXIST
 from repro.obs import MetricsRegistry, QueryTrace, tracing
 
@@ -72,26 +75,20 @@ PHASES = ("descend", "sweep", "fetch")
 
 
 def run_smoke(
-    registry: MetricsRegistry | None = None,
-    n: int = SMOKE_N,
-    size: str = SMOKE_SIZE,
-    k: int = SMOKE_K,
-    count: int = SMOKE_QUERIES,
     shards: int = 1,
     build_workers: int = 0,
     data_dir: str | None = None,
 ) -> MetricsRegistry:
-    """Run the workload and return the populated registry.
+    """Run the fixed workload and return the populated registry.
 
-    The defaults are the CI gate's fixed parameters; ``repro stats``
-    reuses this with user-chosen ones. ``build_workers`` selects the
-    build path timed by the build leg (the resulting index — and so
-    ``smoke_build_pages`` — is byte-identical either way); ``shards > 1``
-    adds a sharded-engine leg whose counters are new (warn-only) until
-    pinned into the baseline; ``data_dir`` adds a durable save/open leg
-    under that directory.
+    ``build_workers`` selects the build path timed by the build leg (the
+    resulting index — and so ``smoke_build_pages`` — is byte-identical
+    either way); ``shards > 1`` adds a sharded-engine leg whose counters
+    are new (warn-only) until pinned into the baseline; ``data_dir``
+    adds a durable save/open leg under that directory.
     """
-    registry = registry if registry is not None else MetricsRegistry()
+    registry = MetricsRegistry()
+    n, size, k, count = SMOKE_N, SMOKE_SIZE, SMOKE_K, SMOKE_QUERIES
     _run_build_leg(registry, n, size, k, build_workers)
     index_pages = registry.counter(
         "smoke_index_pages",
@@ -207,10 +204,10 @@ def _run_shard_leg(
     ``smoke_shard_pages``/``smoke_shard_results`` plus the engine's own
     fleet series — ``shard_fanout_*`` and the per-shard
     ``shard_exec_*{shard=i}`` / ``shard_pages{shard=i}`` families the
-    facade drains from its shard-local registries — so ``repro stats``
-    sees sharded traffic. The extra families are distinct names from
-    the gated default-workload counters (they cannot inflate them), and
-    new keys warn rather than gate.
+    facade drains from its shard-local registries — so the ``--out``
+    artifact carries sharded traffic. The extra families are distinct
+    names from the gated default-workload counters (they cannot inflate
+    them), and new keys warn rather than gate.
     """
     from repro.core import HalfPlaneQuery, SlopeSet
     from repro.shard import ShardedDualIndex
@@ -335,31 +332,6 @@ def _run_batch_leg(
     ).inc(sum(len(res.ids) for res in batch.results))
 
 
-def check_baseline(current: dict, baseline: dict) -> list[str]:
-    """Compare collected counters against a baseline; return violations.
-
-    ``current`` and ``baseline`` are ``MetricsRegistry.collect()``-shaped
-    dicts. Only the ``counters`` section is gated: a counter above its
-    baseline value is a regression, and a baseline counter absent from
-    the current run means the workload silently shrank — both fail.
-    New counters (present now, absent from the baseline) only warn via
-    the caller's report, so adding instrumentation never breaks CI.
-    """
-    violations: list[str] = []
-    base_counters = baseline.get("counters", {})
-    cur_counters = current.get("counters", {})
-    for key, limit in sorted(base_counters.items()):
-        if key not in cur_counters:
-            violations.append(
-                f"baseline counter {key} missing from current run"
-            )
-        elif cur_counters[key] > limit:
-            violations.append(
-                f"{key}: {cur_counters[key]:g} exceeds baseline {limit:g}"
-            )
-    return violations
-
-
 def main(argv: list[str] | None = None) -> int:
     """``repro smoke`` entry point. Returns a process exit code."""
     parser = argparse.ArgumentParser(
@@ -432,21 +404,20 @@ def main(argv: list[str] | None = None) -> int:
               file=sys.stderr)
         return 2
     with open(args.baseline) as handle:
-        baseline = json.load(handle)
-    violations = check_baseline(current, baseline)
-    new_keys = sorted(
-        set(current["counters"]) - set(baseline.get("counters", {}))
-    )
+        pinned = json.load(handle).get("counters", {})
+    _, regressions = diff_counters(
+        pinned, current["counters"], threshold=0.0, mode="ceiling")
+    new_keys = sorted(set(current["counters"]) - set(pinned))
     if new_keys:
         print(f"note: {len(new_keys)} counters not in baseline "
               f"(e.g. {new_keys[0]})")
-    if violations:
-        print("perf-smoke FAILED:", file=sys.stderr)
-        for line in violations:
+    if regressions:
+        print("perf-smoke FAILED: the current run exceeds baseline "
+              "(or lacks a baseline counter):", file=sys.stderr)
+        for line in regressions:
             print(f"  {line}", file=sys.stderr)
         return 1
-    print(f"perf-smoke OK: {len(baseline.get('counters', {}))} counters "
-          f"within baseline")
+    print(f"perf-smoke OK: {len(pinned)} counters within baseline")
     return 0
 
 

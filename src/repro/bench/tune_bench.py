@@ -85,15 +85,9 @@ def _engine_row(name: str, seconds: float, results, n_queries: int) -> dict:
     }
 
 
-def run_bench(
-    n: int = FIG9_N,
-    size: str = FIG9_SIZE,
-    k: int = FIG9_K,
-    seed: int = harness.SEED,
-    queries_per_family: int = DEFAULT_QUERIES,
-    repeats: int = 3,
-) -> dict:
+def run_bench(queries_per_family: int, repeats: int) -> dict:
     """Run the four (family × engine) cells; returns the artifact."""
+    n, size, k, seed = FIG9_N, FIG9_SIZE, FIG9_K, harness.SEED
     relation = make_relation(n, size, seed=seed)
     fixed_slopes = SlopeSet.uniform_angles(k)
     families = {
@@ -200,17 +194,13 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--out", default=DEFAULT_OUT,
                         help="artifact path (default %(default)s)")
-    parser.add_argument("--n", type=int, default=FIG9_N)
-    parser.add_argument("--size", default=FIG9_SIZE)
-    parser.add_argument("--k", type=int, default=FIG9_K)
-    parser.add_argument("--seed", type=int, default=harness.SEED)
-    parser.add_argument("--queries", type=int, default=DEFAULT_QUERIES)
-    parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("--queries", type=int, default=DEFAULT_QUERIES,
+                        help="queries per family (default %(default)s)")
+    parser.add_argument("--repeats", type=int, default=3,
+                        help="timing repeats, best-of (default %(default)s)")
     args = parser.parse_args(argv)
     payload = run_bench(
-        n=args.n, size=args.size, k=args.k, seed=args.seed,
-        queries_per_family=args.queries, repeats=args.repeats,
-    )
+        queries_per_family=args.queries, repeats=args.repeats)
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")

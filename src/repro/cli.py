@@ -11,10 +11,6 @@ Commands
 ``query --tuples FILE --type ALL|EXIST --slope A --intercept B [--theta GE|LE]``
     Index a relation read from a text file (one generalized tuple per
     line, ``#`` comments allowed) and run a single half-plane query.
-``trace ...``
-    Same arguments as ``query``, but runs it under a
-    :class:`repro.obs.QueryTrace` and prints the span tree — per-phase
-    logical/physical I/O and wall times (``--json`` for the raw trace).
 ``batch --tuples FILE --queries FILE [--shards N --build-workers M]``
     Index a relation and answer a whole query file through the batch
     execution engine (:mod:`repro.exec`): merged sweeps for
@@ -25,36 +21,21 @@ Commands
     computes build keys on an M-process pool.
 ``explain [--workload fig9-medium | --tuples FILE --queries FILE] [--shards N]``
     Run one query workload under a trace and print the explain report:
-    the span tree, exclusive per-phase page/time attribution (checked
-    to sum to the inclusive total), B+-tree descent heights, buffer hit
-    ratios, cache outcomes, and per-shard work rows. ``--chrome-out``
-    exports a Perfetto-openable Chrome trace, ``--events-out`` a JSONL
-    event dump.
-``stats [--n N --size small|medium --k K --queries Q --shards S --build-workers W]``
-    Run a query batch and print the metrics-registry snapshot
-    (includes the batch executor's ``exec_*`` cache counters and, with
-    ``--shards``/``--build-workers``, the merged ``shard=i``/
-    ``worker=j`` fleet series). ``--format prom`` emits Prometheus text
-    exposition instead of JSON.
-``bench-diff BASELINE CURRENT [--threshold F --mode ceiling|floor]``
-    Per-counter delta report between two bench/smoke JSON artifacts;
-    exits non-zero when a counter regresses beyond the threshold.
-    ``--mode floor`` inverts the gate for throughput counters
-    (falling below baseline fails) — the CI serve-bench and
-    tune-bench legs run it against their pinned baselines.
-``overhead [--budget F --repeats N]``
-    Measure traced vs untraced query wall time (best-of-N) and fail
-    when tracing exceeds the fractional budget.
-``smoke [--out FILE --baseline FILE --update-baseline --shards N --build-workers M]``
-    The CI perf-smoke gate (see :mod:`repro.bench.smoke`). The baseline
-    lives at ``benchmarks/baselines/smoke.json`` relative to the
-    repository root; ``--baseline PATH`` overrides the convention.
-``shard-bench [--out FILE --n N --size small|medium --k K --repeats R]``
-    Build-throughput (1 vs 4 workers) and sharded query-side QPS
-    (1/2/4 shards, wall + critical-path span) benchmark on the
-    fig9-medium workload; writes ``BENCH_shard.json`` and fails unless
-    4-shard critical-path QPS beats 1-shard
-    (see :mod:`repro.bench.shard_bench`).
+    the span tree (per-phase logical/physical I/O, wall times and
+    ``technique=`` per query), exclusive per-phase page/time attribution
+    (checked to sum to the inclusive total), B+-tree descent heights,
+    buffer hit ratios, cache outcomes, and per-shard work rows.
+    ``--json`` prints the raw trace, ``--chrome-out`` exports a
+    Perfetto-openable Chrome trace, ``--events-out`` a JSONL event dump.
+``smoke``, ``shard-bench``, ``bench-diff``, ``overhead``, ``tune-bench``, ``serve-bench``
+    Bench commands: each is handed its arguments unparsed and runs its
+    :mod:`repro.bench` module's ``main`` (``repro NAME --help`` lists
+    its flags). ``smoke`` is the CI perf-smoke gate and writes the
+    metrics-registry JSON (``--out``); ``bench-diff`` gates one artifact
+    against a pinned baseline (``--mode floor`` for throughput);
+    ``overhead`` gates tracing's wall-time cost; ``shard-bench``,
+    ``tune-bench`` and ``serve-bench`` write ``BENCH_shard.json``,
+    ``BENCH_tune.json`` and ``BENCH_serve.json``.
 ``tune --data-dir DIR (--queries FILE | --slope-log FILE) [--k K --apply --out DIR]``
     Adaptive slope-set tuning (:mod:`repro.tune`): learn a slope set
     from observed query slopes (a query file, or a slope-log snapshot
@@ -64,12 +45,6 @@ Commands
     data directory ``--out`` (the source directory is untouched —
     rollback is keeping the old path). Answers are preserved
     bit-exactly; only page counts change.
-``tune-bench [--out FILE --n N --size small|medium --k K --seed S --queries Q --repeats R]``
-    Fixed-``S`` vs learned-``S`` ablation on fig9-medium under skewed
-    and uniform slope traffic; asserts bit-identical answers, writes
-    ``BENCH_tune.json`` whose ``counters`` feed the CI floor gate
-    against ``benchmarks/baselines/tune.json``
-    (see :mod:`repro.bench.tune_bench`).
 ``fuzz [--seed N --budget 30s --out DIR --replay FILE --fault-demo]``
     Differential fuzzing (:mod:`repro.verify`): cross-check every query
     path against the geometric and LP oracles on randomized +
@@ -95,10 +70,34 @@ Commands
 from __future__ import annotations
 
 import argparse
+import importlib
+import math
 import os
 import sys
 
 from repro import __version__
+
+
+#: Bench commands own their flags: ``repro NAME ARGS...`` runs
+#: ``repro.bench.<module>.main(ARGS)``, whose parser is the one place
+#: those options are declared (``repro NAME --help`` prints it).
+BENCH_COMMANDS = {
+    "smoke": (
+        "smoke", "CI perf-smoke: fixed workload gated on a baseline"),
+    "shard-bench": (
+        "shard_bench",
+        "build-throughput + sharded-QPS benchmark (BENCH_shard.json)"),
+    "bench-diff": (
+        "diff", "diff two bench/smoke JSON artifacts, gate on regressions"),
+    "overhead": (
+        "overhead", "gate tracing wall-time overhead against a budget"),
+    "tune-bench": (
+        "tune_bench",
+        "fixed-S vs learned-S ablation benchmark (BENCH_tune.json)"),
+    "serve-bench": (
+        "serve_bench",
+        "end-to-end serve benchmark: build, save, serve, loadgen"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -112,10 +111,36 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("info", help="library and experiment overview")
-    sub.add_parser("demo", help="run the Example 2.1 quickstart")
+    # Shared option groups for commands that build an engine from a
+    # tuple file: ``query`` takes the slope set, the others also shard
+    # and parallelise the build.
+    slopes = argparse.ArgumentParser(add_help=False)
+    slopes.add_argument(
+        "--slopes", default=None,
+        help="comma-separated predefined slope set for a tuple-file "
+             "build (default: 3 uniform)",
+    )
+    build = argparse.ArgumentParser(add_help=False, parents=[slopes])
+    build.add_argument(
+        "--shards", type=int, default=1,
+        help="hash-partition the relation across N independent shards "
+             "(default 1 = single engine)",
+    )
+    build.add_argument(
+        "--build-workers", type=int, default=0,
+        help="worker processes for the index build (default 0 = serial; "
+             ">=2 computes keys on a process pool — same index bytes)",
+    )
+
+    sub.add_parser(
+        "info", help="library and experiment overview"
+    ).set_defaults(func=_info)
+    sub.add_parser(
+        "demo", help="run the Example 2.1 quickstart"
+    ).set_defaults(func=_demo)
 
     figure = sub.add_parser("figure", help="regenerate a paper figure")
+    figure.set_defaults(func=_figure)
     figure.add_argument(
         "--id",
         required=True,
@@ -129,54 +154,45 @@ def build_parser() -> argparse.ArgumentParser:
         "--chart", action="store_true", help="also render an ASCII chart"
     )
 
-    for name, help_text in (
-        ("query", "query a relation from a file"),
-        ("trace", "query a relation from a file, printing the span tree"),
-    ):
-        cmd = sub.add_parser(
-            name,
-            help=help_text,
-            description=(
-                f"{help_text}. File paths are resolved relative to the "
-                "current working directory (the conventional layout keeps "
-                "tuple files under the repository root, next to "
-                "benchmarks/baselines/ where the smoke gate keeps its "
-                "baseline)."
-            ),
-        )
-        cmd.add_argument(
-            "--tuples", required=True,
-            help="tuple file path (one generalized tuple per line, "
-                 "# comments allowed)",
-        )
-        cmd.add_argument(
-            "--type", required=True, choices=["ALL", "EXIST"],
-            help="selection type",
-        )
-        cmd.add_argument(
-            "--slope", type=float, required=True,
-            help="query slope (the s of y θ s·x + b)",
-        )
-        cmd.add_argument(
-            "--intercept", type=float, required=True,
-            help="query intercept (the b of y θ s·x + b)",
-        )
-        cmd.add_argument(
-            "--theta", default="GE", choices=["GE", "LE"],
-            help="comparison operator (default GE)",
-        )
-        cmd.add_argument(
-            "--slopes",
-            default=None,
-            help="comma-separated predefined slope set (default: 3 uniform)",
-        )
-    sub.choices["trace"].add_argument(
-        "--json", action="store_true",
-        help="emit the trace as JSON instead of the rendered tree",
+    query = sub.add_parser(
+        "query",
+        parents=[slopes],
+        help="query a relation from a file",
+        description=(
+            "Query a relation from a file. File paths are resolved "
+            "relative to the current working directory (the conventional "
+            "layout keeps tuple files under the repository root, next to "
+            "benchmarks/baselines/ where the smoke gate keeps its "
+            "baseline). `repro explain --tuples FILE --queries FILE` "
+            "prints the span tree of the same query."
+        ),
+    )
+    query.set_defaults(func=_query)
+    query.add_argument(
+        "--tuples", required=True,
+        help="tuple file path (one generalized tuple per line, "
+             "# comments allowed)",
+    )
+    query.add_argument(
+        "--type", required=True, choices=["ALL", "EXIST"],
+        help="selection type",
+    )
+    query.add_argument(
+        "--slope", type=float, required=True,
+        help="query slope (the s of y θ s·x + b)",
+    )
+    query.add_argument(
+        "--intercept", type=float, required=True,
+        help="query intercept (the b of y θ s·x + b)",
+    )
+    query.add_argument(
+        "--theta", default="GE", choices=["GE", "LE"],
+        help="comparison operator (default GE)",
     )
 
     batch = sub.add_parser(
         "batch",
+        parents=[build],
         help="answer a whole query file through the batch engine",
         description=(
             "Index a relation and answer every query in a query file "
@@ -186,6 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
             "<GE|LE>`, # comments allowed."
         ),
     )
+    batch.set_defaults(func=_batch)
     batch.add_argument(
         "--tuples", default=None,
         help="tuple file path (one generalized tuple per line); omit "
@@ -203,27 +220,15 @@ def build_parser() -> argparse.ArgumentParser:
              "saved engine from there (no rebuild)",
     )
     batch.add_argument(
-        "--slopes", default=None,
-        help="comma-separated predefined slope set (default: 3 uniform)",
-    )
-    batch.add_argument(
         "--json", action="store_true",
         help="emit per-query answers and the batch summary as JSON",
-    )
-    batch.add_argument(
-        "--shards", type=int, default=1,
-        help="hash-partition the relation across N independent shards "
-             "and fan the batch out (default 1 = single engine)",
-    )
-    batch.add_argument(
-        "--build-workers", type=int, default=0,
-        help="worker processes for the index build (default 0 = serial; "
-             ">=2 computes keys on a process pool — same index bytes)",
     )
 
     explain = sub.add_parser(
         "explain",
-        help="trace one workload and print checked per-phase attribution",
+        parents=[build],
+        help="trace a workload and print its span tree with checked "
+             "per-phase attribution",
         description=(
             "Run a query workload under a QueryTrace and print the "
             "explain report: span tree, exclusive per-phase page/time "
@@ -234,8 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--queries files."
         ),
     )
+    explain.set_defaults(func=_explain)
     explain.add_argument(
-        "--workload", default=None, choices=["fig9-medium", "smoke"],
+        "--workload", default=None, choices=sorted(_EXPLAIN_WORKLOADS),
         help="named harness workload (fig9-medium: n=2000 medium; "
              "smoke: n=500 small)",
     )
@@ -251,19 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument(
         "--count", type=int, default=1,
         help="harness queries per selection type (default 1)",
-    )
-    explain.add_argument(
-        "--slopes", default=None,
-        help="comma-separated predefined slope set (file workloads only)",
-    )
-    explain.add_argument(
-        "--shards", type=int, default=1,
-        help="run against a sharded engine with N shards (per-shard "
-             "rows appear in the report)",
-    )
-    explain.add_argument(
-        "--build-workers", type=int, default=0,
-        help="worker processes for the index build",
     )
     explain.add_argument(
         "--batch", action="store_true",
@@ -288,158 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
              "--tuples)",
     )
 
-    stats = sub.add_parser(
-        "stats", help="run a query batch and print the metrics registry"
-    )
-    stats.add_argument("--n", type=int, default=500, help="relation size")
-    stats.add_argument("--size", default="small", choices=["small", "medium"])
-    stats.add_argument("--k", type=int, default=3, help="slope-set size")
-    stats.add_argument(
-        "--queries", type=int, default=4, help="queries per selection type"
-    )
-    stats.add_argument(
-        "--format", default="json", choices=["json", "prom"],
-        help="output format: registry JSON (default) or Prometheus "
-             "text exposition",
-    )
-    stats.add_argument(
-        "--shards", type=int, default=1,
-        help="also run the sharded smoke leg; its per-shard series "
-             "merge into the output as shard_*{shard=i}",
-    )
-    stats.add_argument(
-        "--build-workers", type=int, default=0,
-        help="worker processes for the build leg; pool workers report "
-             "build_worker_*{worker=j} series",
-    )
-    stats.add_argument(
-        "--data-dir", default=None,
-        help="also run the durable save/open leg under this directory; "
-             "its WAL/checkpoint counters (wal_appends, wal_fsyncs, "
-             "checkpoint_pages) join the output",
-    )
-
-    smoke = sub.add_parser(
-        "smoke",
-        help="CI perf-smoke: fixed workload gated on a baseline",
-        description=(
-            "Run the fixed perf-smoke workload and gate its page-access "
-            "counters on a checked-in baseline. By convention the "
-            "baseline lives at benchmarks/baselines/smoke.json relative "
-            "to the repository root (resolved from the working directory "
-            "or the checkout); --baseline PATH overrides the convention."
-        ),
-    )
-    smoke.add_argument(
-        "--out", default=None,
-        help="where to write the metrics JSON (default BENCH_smoke.json)",
-    )
-    smoke.add_argument(
-        "--baseline", default=None,
-        help="baseline file to gate against (default: the "
-             "benchmarks/baselines/smoke.json convention)",
-    )
-    smoke.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the baseline from this run instead of gating",
-    )
-    smoke.add_argument(
-        "--shards", type=int, default=1,
-        help="also run a sharded-engine smoke leg with N shards",
-    )
-    smoke.add_argument(
-        "--build-workers", type=int, default=0,
-        help="worker processes for the smoke build leg",
-    )
-    smoke.add_argument(
-        "--data-dir", default=None,
-        help="run the whole workload file-backed (REPRO_DATA_DIR) under "
-             "this directory and add a durable save/open leg whose "
-             "answers must match the live engine",
-    )
-
-    shard_bench = sub.add_parser(
-        "shard-bench",
-        help="build-throughput + sharded-QPS benchmark (BENCH_shard.json)",
-        description=(
-            "Benchmark the sharded dual-transform engine on the "
-            "fig9-medium workload: full-index build wall time at 1 vs 4 "
-            "workers, and batch query throughput at 1/2/4 shards with a "
-            "correctness check against the unsharded planner. Writes "
-            "BENCH_shard.json."
-        ),
-    )
-    shard_bench.add_argument(
-        "--out", default=None,
-        help="where to write the JSON payload (default BENCH_shard.json)",
-    )
-    shard_bench.add_argument("--n", type=int, default=None,
-                             help="relation size (default 2000)")
-    shard_bench.add_argument("--size", default=None,
-                             choices=["small", "medium"])
-    shard_bench.add_argument("--k", type=int, default=None,
-                             help="slope count (default 3)")
-    shard_bench.add_argument("--seed", type=int, default=None,
-                             help="workload seed")
-    shard_bench.add_argument(
-        "--repeats", type=int, default=None,
-        help="timed build attempts per worker count (best-of; default 2)",
-    )
-
-    bench_diff = sub.add_parser(
-        "bench-diff",
-        help="diff two bench/smoke JSON artifacts, gate on regressions",
-        description=(
-            "Per-counter delta report between two bench artifacts "
-            "(MetricsRegistry.collect() documents or flat key->number "
-            "maps). A counter above baseline x (1 + threshold), or a "
-            "baseline counter missing from the current run, is a "
-            "regression (exit 1). New counters never fail."
-        ),
-    )
-    bench_diff.add_argument("baseline", help="baseline artifact (JSON)")
-    bench_diff.add_argument("current", help="current artifact (JSON)")
-    bench_diff.add_argument(
-        "--threshold", type=float, default=0.0,
-        help="fractional regression allowance (default 0)",
-    )
-    bench_diff.add_argument(
-        "--mode", choices=["ceiling", "floor"], default="ceiling",
-        help="ceiling: rises fail (costs, default); floor: falls fail "
-             "(throughput)",
-    )
-
-    overhead = sub.add_parser(
-        "overhead",
-        help="gate tracing wall-time overhead against a budget",
-        description=(
-            "Run the smoke query workload traced and untraced (best-of-N "
-            "each) and fail when the traced run exceeds the untraced one "
-            "by more than the fractional budget plus a small absolute "
-            "slack."
-        ),
-    )
-    overhead.add_argument("--budget", type=float, default=0.05,
-                          help="max fractional overhead (default 0.05)")
-    overhead.add_argument("--repeats", type=int, default=5,
-                          help="best-of repeats per mode (default 5)")
-    overhead.add_argument(
-        "--serve", action="store_true",
-        help="gate the serve path's request tracing (embedded server, "
-             "closed-loop load) instead of the in-process span hooks",
-    )
-    overhead.add_argument(
-        "--requests", type=int, default=400,
-        help="--serve: closed-loop requests per timed run (default 400)",
-    )
-    overhead.add_argument(
-        "--concurrency", type=int, default=8,
-        help="--serve: closed-loop connections (default 8)",
-    )
-    overhead.add_argument(
-        "--trace-sample", type=int, default=16,
-        help="--serve: span-tree cadence in the traced run (default 16)",
-    )
+    for name, (_, help_text) in BENCH_COMMANDS.items():
+        sub.add_parser(name, help=help_text, add_help=False)
 
     fuzz = sub.add_parser(
         "fuzz",
@@ -454,6 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
             "replayable JSON repro files."
         ),
     )
+    fuzz.set_defaults(func=_fuzz)
     fuzz.add_argument("--seed", type=int, default=0, help="master seed")
     fuzz.add_argument(
         "--budget", default="10s",
@@ -486,6 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     save = sub.add_parser(
         "save",
+        parents=[build],
         help="build an index from a tuple file and persist it durably",
         description=(
             "Build a dual-index engine (or a sharded one with --shards) "
@@ -495,6 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
             "`repro batch --data-dir` without rebuilding."
         ),
     )
+    save.set_defaults(func=_save)
     save.add_argument(
         "--tuples", required=True,
         help="tuple file path (one generalized tuple per line)",
@@ -502,18 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     save.add_argument(
         "--data-dir", required=True,
         help="target directory for the durable engine",
-    )
-    save.add_argument(
-        "--slopes", default=None,
-        help="comma-separated predefined slope set (default: 3 uniform)",
-    )
-    save.add_argument(
-        "--shards", type=int, default=1,
-        help="hash-partition across N shards (default 1)",
-    )
-    save.add_argument(
-        "--build-workers", type=int, default=0,
-        help="worker processes for the index build",
     )
 
     open_cmd = sub.add_parser(
@@ -527,6 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
             "engine."
         ),
     )
+    open_cmd.set_defaults(func=_open)
     open_cmd.add_argument(
         "--data-dir", required=True,
         help="durable engine directory to open",
@@ -553,6 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
             "spec and semantics: docs/SERVING.md."
         ),
     )
+    serve.set_defaults(func=_serve)
     serve.add_argument(
         "--data-dir", required=True,
         help="durable engine directory to serve",
@@ -644,6 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
             "OVERLOADED backpressure."
         ),
     )
+    loadgen.set_defaults(func=_loadgen)
     loadgen.add_argument("--host", default="127.0.0.1")
     loadgen.add_argument("--port", type=int, required=True)
     loadgen.add_argument(
@@ -702,6 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
             "bit-for-bit (exit 1 on divergence)."
         ),
     )
+    slowlog.set_defaults(func=_slowlog)
     slowlog.add_argument(
         "log", help="slow-query log JSONL (or a kind=slowlog repro JSON)")
     slowlog.add_argument(
@@ -743,6 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
             "window-local (deltas between refreshes)."
         ),
     )
+    top.set_defaults(func=_top)
     top.add_argument("--host", default="127.0.0.1")
     top.add_argument(
         "--metrics-port", type=int, required=True,
@@ -773,6 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
             "directory is never written."
         ),
     )
+    tune.set_defaults(func=_tune)
     tune.add_argument(
         "--data-dir", required=True,
         help="saved engine directory to tune (read-only unless --apply)",
@@ -804,132 +644,22 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true", help="emit the report as JSON",
     )
 
-    tune_bench = sub.add_parser(
-        "tune-bench",
-        help="fixed-S vs learned-S ablation benchmark (BENCH_tune.json)",
-        description=(
-            "Answer skewed and uniform slope traffic on the fig9-medium "
-            "relation with both the build-time slope set and one learned "
-            "from that traffic's slope log; report page accesses, T1/T2 "
-            "false hits and batch QPS per cell. Its counters section "
-            "feeds `repro bench-diff --mode floor` against "
-            "benchmarks/baselines/tune.json."
-        ),
-    )
-    tune_bench.add_argument(
-        "--out", default=None, help="write the JSON artifact here")
-    tune_bench.add_argument("--n", type=int, default=None,
-                            help="relation size (default 2000)")
-    tune_bench.add_argument("--size", default=None,
-                            choices=["small", "medium"])
-    tune_bench.add_argument("--k", type=int, default=None,
-                            help="slope-set size (default 3)")
-    tune_bench.add_argument("--seed", type=int, default=None)
-    tune_bench.add_argument("--queries", type=int, default=None,
-                            help="queries per family (default 240)")
-    tune_bench.add_argument(
-        "--repeats", type=int, default=None,
-        help="timing repeats, best-of (default 3)")
-
-    serve_bench = sub.add_parser(
-        "serve-bench",
-        help="end-to-end serve benchmark: build, save, serve, loadgen",
-        description=(
-            "Build the fig9-medium engine, save it to a temporary data "
-            "directory, stand up an in-process server, run a "
-            "closed-loop loadgen against it, and emit BENCH_serve.json "
-            "(gated in CI via `repro bench-diff --mode floor` against "
-            "benchmarks/baselines/serve.json)."
-        ),
-    )
-    serve_bench.add_argument(
-        "--out", default=None, help="write the metrics JSON here")
-    serve_bench.add_argument(
-        "--requests", type=int, default=2000,
-        help="measured closed-loop requests (default 2000)",
-    )
-    serve_bench.add_argument(
-        "--concurrency", type=int, default=16,
-        help="closed-loop connections (default 16)",
-    )
-    serve_bench.add_argument(
-        "--p99-budget-ms", type=float, default=250.0,
-        help="fail if closed-loop p99 exceeds this (default 250 ms)",
-    )
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.command == "info":
-        return _info()
-    if args.command == "demo":
-        return _demo()
-    if args.command == "figure":
-        return _figure(args)
-    if args.command == "query":
-        return _query(args)
-    if args.command == "trace":
-        return _trace(args)
-    if args.command == "batch":
-        return _batch(args)
-    if args.command == "explain":
-        return _explain(args)
-    if args.command == "stats":
-        return _stats(args)
-    if args.command == "bench-diff":
-        from repro.bench import diff
-
-        return diff.main(
-            [args.baseline, args.current, "--threshold",
-             str(args.threshold), "--mode", args.mode]
-        )
-    if args.command == "overhead":
-        from repro.bench import overhead
-
-        forwarded = [
-            "--budget", str(args.budget), "--repeats", str(args.repeats)]
-        if args.serve:
-            forwarded += [
-                "--serve", "--requests", str(args.requests),
-                "--concurrency", str(args.concurrency),
-                "--trace-sample", str(args.trace_sample)]
-        return overhead.main(forwarded)
-    if args.command == "smoke":
-        return _smoke(args)
-    if args.command == "shard-bench":
-        return _shard_bench(args)
-    if args.command == "tune":
-        return _tune(args)
-    if args.command == "tune-bench":
-        return _tune_bench(args)
-    if args.command == "fuzz":
-        return _fuzz(args)
-    if args.command == "save":
-        return _save(args)
-    if args.command == "open":
-        return _open(args)
-    if args.command == "serve":
-        return _serve(args)
-    if args.command == "loadgen":
-        return _loadgen(args)
-    if args.command == "slowlog":
-        return _slowlog(args)
-    if args.command == "top":
-        return _top(args)
-    if args.command == "serve-bench":
-        from repro.bench import serve_bench
-
-        return serve_bench.main(
-            ["--requests", str(args.requests),
-             "--concurrency", str(args.concurrency),
-             "--p99-budget-ms", str(args.p99_budget_ms)]
-            + (["--out", args.out] if args.out else [])
-        )
-    return 2  # pragma: no cover - argparse enforces choices
+    parser = build_parser()
+    args, rest = parser.parse_known_args(argv)
+    if args.command in BENCH_COMMANDS:
+        module = importlib.import_module(
+            f"repro.bench.{BENCH_COMMANDS[args.command][0]}")
+        return module.main(rest)
+    if rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
+    return args.func(args)
 
 
-def _info() -> int:
+def _info(args) -> int:
     from repro.bench import PAPER_K_VALUES, PAPER_N_VALUES
 
     print(f"repro {__version__} — dual-representation constraint-database "
@@ -943,7 +673,7 @@ def _info() -> int:
     return 0
 
 
-def _demo() -> int:
+def _demo(args) -> int:
     import runpy
 
     candidates = [
@@ -1005,90 +735,16 @@ def _figure(args) -> int:
     return 0
 
 
-def _load_workload(args):
-    """Shared by ``query`` and ``trace``: (relation, planner, query)."""
-    from repro.constraints import GeneralizedRelation, parse_tuple
-    from repro.core import DualIndexPlanner, HalfPlaneQuery, SlopeSet
-    from repro.errors import QueryError
-
-    theta = ">=" if args.theta == "GE" else "<="
-    try:
-        query = HalfPlaneQuery(args.type, args.slope, args.intercept, theta)
-    except QueryError as exc:
-        raise SystemExit(f"{args.command}: {exc}")
-    relation = GeneralizedRelation(name=os.path.basename(args.tuples))
-    with open(args.tuples) as handle:
-        for line_no, line in enumerate(handle, 1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            relation.add(parse_tuple(text, dimension=2, label=f"line {line_no}"))
-    if len(relation) == 0:
-        return None, None, None
-    if args.slopes:
-        slopes = SlopeSet(float(v) for v in args.slopes.split(","))
-    else:
-        slopes = SlopeSet.uniform_angles(3)
-    planner = DualIndexPlanner.build(relation, slopes)
-    return relation, planner, query
-
-
-def _query(args) -> int:
-    relation, planner, query = _load_workload(args)
-    if relation is None:
-        print("no tuples found", file=sys.stderr)
-        return 1
-    result = planner.query(query)
-    theta = query.theta.value
-    print(f"query    : {args.type}(y {theta} {args.slope}·x + {args.intercept})")
-    print(f"technique: {result.technique}")
-    print(f"answers  : {len(result.ids)} of {len(relation)} tuples")
-    for tid in sorted(result.ids):
-        print(f"  - tuple {tid} ({relation.get(tid).label})")
-    print(
-        f"cost     : {result.page_accesses} page accesses "
-        f"({result.candidates} candidates, {result.false_hits} false hits)"
-    )
-    return 0
-
-
-def _trace(args) -> int:
-    from repro.obs import QueryTrace, tracing
-
-    relation, planner, query = _load_workload(args)
-    if relation is None:
-        print("no tuples found", file=sys.stderr)
-        return 1
-    trace = QueryTrace(
-        pager=planner.index.pager,
-        name=f"{args.type.lower()}({args.slope:g},{args.intercept:g})",
-    )
-    with tracing(trace):
-        result = planner.query(query)
-    if args.json:
-        print(trace.export_json())
-    else:
-        print(trace.render())
-        print()
-        print(f"technique: {result.technique}; "
-              f"{len(result.ids)} of {len(relation)} tuples; "
-              f"{result.page_accesses} page accesses")
-    return 0
-
-
 def _load_relation(
     path: str,
     slopes_arg: str | None,
     build_workers: int = 0,
     shards: int = 1,
 ):
-    """Parse a tuple file and build an engine (shared loader).
-
-    Returns ``(relation, engine)`` where the engine is a
-    :class:`DualIndexPlanner` or, with ``shards > 1``, a
-    :class:`repro.shard.ShardedDualIndex` (same query surface)."""
+    """Parse a tuple file and build an engine: ``(relation, engine)``,
+    or ``(None, None)`` for a file without tuples."""
     from repro.constraints import GeneralizedRelation, parse_tuple
-    from repro.core import DualIndexPlanner, SlopeSet
+    from repro.core import SlopeSet
 
     relation = GeneralizedRelation(name=os.path.basename(path))
     with open(path) as handle:
@@ -1103,15 +759,47 @@ def _load_relation(
         slopes = SlopeSet(float(v) for v in slopes_arg.split(","))
     else:
         slopes = SlopeSet.uniform_angles(3)
+    return relation, _build_engine(relation, slopes, shards, build_workers)
+
+
+def _build_engine(relation, slopes, shards: int, build_workers: int):
+    """A :class:`DualIndexPlanner` or, with ``shards > 1``, a
+    :class:`repro.shard.ShardedDualIndex` (same query surface)."""
+    from repro.core import DualIndexPlanner
+
     if shards > 1:
         from repro.shard import ShardedDualIndex
 
-        return relation, ShardedDualIndex.build(
+        return ShardedDualIndex.build(
             relation, slopes, shards=shards, workers=build_workers
         )
-    return relation, DualIndexPlanner.build(
-        relation, slopes, workers=build_workers
+    return DualIndexPlanner.build(relation, slopes, workers=build_workers)
+
+
+def _query(args) -> int:
+    from repro.core import HalfPlaneQuery
+    from repro.errors import QueryError
+
+    theta = ">=" if args.theta == "GE" else "<="
+    try:
+        query = HalfPlaneQuery(args.type, args.slope, args.intercept, theta)
+    except QueryError as exc:
+        raise SystemExit(f"query: {exc}")
+    relation, planner = _load_relation(args.tuples, args.slopes)
+    if relation is None:
+        print("no tuples found", file=sys.stderr)
+        return 1
+    result = planner.query(query)
+    print(f"query    : {args.type}(y {theta} {args.slope}·x + {args.intercept})")
+    print(f"technique: {result.technique}")
+    print(f"answers  : {len(result.ids)} of {len(relation)} tuples")
+    for tid in sorted(result.ids):
+        print(f"  - tuple {tid} ({relation.get(tid).label})")
+    print(
+        f"cost     : {result.page_accesses} page accesses "
+        f"({result.candidates} candidates, {result.false_hits} false hits)"
     )
+    return 0
 
 
 def _parse_query_file(path: str):
@@ -1257,7 +945,7 @@ def _explain(args) -> int:
         queries = _parse_query_file(args.queries)
     elif args.workload is not None:
         from repro.bench import harness
-        from repro.core import DualIndexPlanner, SlopeSet
+        from repro.core import SlopeSet
         from repro.workloads import make_relation
 
         n, size, k = _EXPLAIN_WORKLOADS[args.workload]
@@ -1268,19 +956,10 @@ def _explain(args) -> int:
             )
         if args.queries is not None:
             queries = _parse_query_file(args.queries)
-        relation = make_relation(n, size, seed=harness.SEED)
-        if args.shards > 1:
-            from repro.shard import ShardedDualIndex
-
-            engine = ShardedDualIndex.build(
-                relation, SlopeSet.uniform_angles(k),
-                shards=args.shards, workers=args.build_workers,
-            )
-        else:
-            engine = DualIndexPlanner.build(
-                relation, SlopeSet.uniform_angles(k),
-                workers=args.build_workers,
-            )
+        engine = _build_engine(
+            make_relation(n, size, seed=harness.SEED),
+            SlopeSet.uniform_angles(k), args.shards, args.build_workers,
+        )
     else:
         if args.queries is None:
             print("explain: --tuples needs --queries", file=sys.stderr)
@@ -1313,24 +992,6 @@ def _explain(args) -> int:
     return 0
 
 
-def _stats(args) -> int:
-    from repro.bench.smoke import run_smoke
-    from repro.obs import get_registry
-
-    # The process-global registry, so fleet series merged from shard
-    # and build-worker registries land in the same snapshot we print.
-    registry = run_smoke(
-        get_registry(), n=args.n, size=args.size, k=args.k,
-        count=args.queries, shards=args.shards,
-        build_workers=args.build_workers, data_dir=args.data_dir,
-    )
-    if args.format == "prom":
-        sys.stdout.write(registry.export_prom())
-    else:
-        print(registry.export_json())
-    return 0
-
-
 def parse_budget(text: str) -> float:
     """Parse a time budget: plain seconds or ``30s`` / ``2m`` / ``0.5h``."""
     text = text.strip().lower()
@@ -1339,12 +1000,15 @@ def parse_budget(text: str) -> float:
         factor = {"s": 1.0, "m": 60.0, "h": 3600.0}[text[-1]]
         text = text[:-1]
     try:
-        value = float(text)
+        seconds = float(text) * factor
     except ValueError:
+        seconds = math.nan
+    # nan would end the fuzz loop before its first round and inf never.
+    if not math.isfinite(seconds):
         raise SystemExit(f"invalid --budget {text!r} (e.g. 30s, 2m, 0.5h)")
-    if value <= 0:
+    if seconds <= 0:
         raise SystemExit("--budget must be positive")
-    return value * factor
+    return seconds
 
 
 def _fuzz(args) -> int:
@@ -1390,25 +1054,6 @@ def _fuzz(args) -> int:
     for path in report.repro_paths:
         print(f"  repro: {path}")
     return 0 if report.ok else 1
-
-
-def _smoke(args) -> int:
-    from repro.bench import smoke
-
-    argv: list[str] = []
-    if args.out:
-        argv += ["--out", args.out]
-    if args.baseline:
-        argv += ["--baseline", args.baseline]
-    if args.update_baseline:
-        argv.append("--update-baseline")
-    if args.shards != 1:
-        argv += ["--shards", str(args.shards)]
-    if args.build_workers:
-        argv += ["--build-workers", str(args.build_workers)]
-    if args.data_dir:
-        argv += ["--data-dir", args.data_dir]
-    return smoke.main(argv)
 
 
 def _save(args) -> int:
@@ -1481,25 +1126,6 @@ def _open(args) -> int:
     return 0
 
 
-def _shard_bench(args) -> int:
-    from repro.bench import shard_bench
-
-    argv: list[str] = []
-    if args.out:
-        argv += ["--out", args.out]
-    if args.n is not None:
-        argv += ["--n", str(args.n)]
-    if args.size is not None:
-        argv += ["--size", args.size]
-    if args.k is not None:
-        argv += ["--k", str(args.k)]
-    if args.seed is not None:
-        argv += ["--seed", str(args.seed)]
-    if args.repeats is not None:
-        argv += ["--repeats", str(args.repeats)]
-    return shard_bench.main(argv)
-
-
 def _tune(args) -> int:
     import json
 
@@ -1551,27 +1177,6 @@ def _tune(args) -> int:
     elif decision.worthwhile:
         print("run again with --apply --out DIR to rebuild")
     return 0
-
-
-def _tune_bench(args) -> int:
-    from repro.bench import tune_bench
-
-    argv = []
-    if args.out is not None:
-        argv += ["--out", args.out]
-    if args.n is not None:
-        argv += ["--n", str(args.n)]
-    if args.size is not None:
-        argv += ["--size", args.size]
-    if args.k is not None:
-        argv += ["--k", str(args.k)]
-    if args.seed is not None:
-        argv += ["--seed", str(args.seed)]
-    if args.queries is not None:
-        argv += ["--queries", str(args.queries)]
-    if args.repeats is not None:
-        argv += ["--repeats", str(args.repeats)]
-    return tune_bench.main(argv)
 
 
 def _serve(args) -> int:  # pragma: no cover - run-forever loop (CI leg)

@@ -294,7 +294,7 @@ class MetricsRegistry:
         )
 
     def export_prom(self) -> str:
-        """Prometheus text exposition format (``repro stats --format prom``).
+        """Prometheus text exposition format (``repro serve``'s ``/metrics``).
 
         Metric names are sanitized to the Prometheus charset, histogram
         buckets are emitted cumulatively with the standard ``_bucket``/
@@ -422,7 +422,7 @@ class RegistrySnapshot:
     data, so they pickle across process boundaries), gets relabeled via
     :meth:`with_labels` (``shard=i`` / ``worker=j``), and merges into
     the global registry through :meth:`MetricsRegistry.absorb` — which
-    is how ``repro stats`` sees sharded and parallel-build traffic.
+    is how ``/metrics`` sees sharded and parallel-build traffic.
 
     ``families`` maps metric name to ``{"kind", "help", "labelnames",
     "buckets" (histograms), "series": [(labelvalues, state), ...]}``

@@ -81,9 +81,45 @@ def test_query_empty_file(tmp_path, capsys):
     ) == 1
 
 
-def test_unknown_command_rejected():
-    with pytest.raises(SystemExit):
-        main(["not-a-command"])
+def test_unknown_command_rejected(capsys):
+    # ``trace`` is ``explain --tuples F --queries Q`` and ``stats`` is
+    # ``smoke --out``; both were removed as duplicates.
+    for command in ("not-a-command", "trace", "stats"):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+
+def test_documented_subcommands_are_registered():
+    import pathlib
+    import re
+
+    from repro.cli import build_parser
+
+    root = pathlib.Path(__file__).resolve().parents[2]
+    docs = [root / "README.md", *sorted((root / "docs").glob("*.md")),
+            root / ".claude" / "skills" / "verify" / "SKILL.md",
+            root / ".github" / "workflows" / "ci.yml"]
+    # ``python -m repro X``, a backticked ``repro X`` (or ``repro X|Y``)
+    # and a line (or heading) that starts with ``repro X`` name
+    # subcommands; prose such as "from repro import" does not match.
+    pattern = re.compile(
+        r"(?:python3? -m repro|`repro|^[ \t]*(?:#+ )?repro)"
+        r" +([a-z][a-z-]*(?:\|[a-z][a-z-]*)*)",
+        re.MULTILINE,
+    )
+    named = {
+        (path.name, command)
+        for path in docs if path.exists()
+        for match in pattern.finditer(path.read_text(encoding="utf-8"))
+        for command in match.group(1).split("|")
+    }
+    assert named, "no `repro <subcommand>` found in the docs"
+    registered = build_parser()._subparsers._group_actions[0].choices
+    unknown = sorted(
+        (name, cmd) for name, cmd in named if cmd not in registered)
+    assert unknown == []
 
 
 TRACE_TUPLES = (
@@ -92,69 +128,70 @@ TRACE_TUPLES = (
 )
 
 
-def test_trace_prints_span_tree(tmp_path, capsys):
+def _explain_files(tmp_path, query_line):
     tuples = tmp_path / "tuples.txt"
     tuples.write_text(TRACE_TUPLES)
-    code = main(
-        [
-            "trace",
-            "--tuples", str(tuples),
-            "--type", "EXIST",
-            "--slope", "1",
-            "--intercept", "0",
-        ]
-    )
+    queries = tmp_path / "queries.txt"
+    queries.write_text(query_line + "\n")
+    return ["explain", "--tuples", str(tuples), "--queries", str(queries)]
+
+
+def test_trace_prints_span_tree(tmp_path, capsys):
+    code = main(_explain_files(tmp_path, "EXIST 1 0 GE"))
     assert code == 0
     out = capsys.readouterr().out
     # span tree with per-phase I/O and timings
-    assert "query" in out
+    assert "query [" in out
     assert "plan" in out
     assert "fetch" in out or "sweep" in out
     assert "ms" in out and "pages" in out and "physical" in out
-    assert "technique:" in out
+    assert "technique=" in out
 
 
 def test_trace_json(tmp_path, capsys):
     import json
 
-    tuples = tmp_path / "tuples.txt"
-    tuples.write_text(TRACE_TUPLES)
-    code = main(
-        [
-            "trace",
-            "--tuples", str(tuples),
-            "--type", "ALL",
-            "--slope", "0.5",
-            "--intercept", "-1",
-            "--theta", "LE",
-            "--json",
-        ]
-    )
+    code = main(_explain_files(tmp_path, "ALL 0.5 -1 LE") + ["--json"])
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["children"][0]["name"] == "query"
+    assert doc["children"][0]["meta"]["technique"]
     assert "logical_reads" in doc["io"]
 
 
 def test_trace_leaves_tracing_disabled(tmp_path, capsys):
     from repro.obs import trace as obs
 
-    tuples = tmp_path / "tuples.txt"
-    tuples.write_text(TRACE_TUPLES)
-    main(["trace", "--tuples", str(tuples), "--type", "EXIST",
-          "--slope", "1", "--intercept", "0"])
+    main(_explain_files(tmp_path, "EXIST 1 0 GE"))
     capsys.readouterr()
     assert obs.current() is None
 
 
-def test_stats_emits_registry_json(capsys):
+@pytest.fixture(scope="module")
+def smoke_artifact(tmp_path_factory):
+    """One ``repro smoke --out`` run, gated on the pinned baseline."""
     import json
 
-    code = main(["stats", "--n", "60", "--k", "2", "--queries", "1"])
-    assert code == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert set(doc) == {"counters", "gauges", "histograms"}
-    assert any(k.startswith("smoke_index_pages") for k in doc["counters"])
+    out = tmp_path_factory.mktemp("smoke") / "BENCH_smoke.json"
+    assert main(["smoke", "--out", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+def test_stats_emits_registry_json(smoke_artifact):
+    assert set(smoke_artifact) == {"counters", "gauges", "histograms"}
+    assert any(k.startswith("smoke_index_pages")
+               for k in smoke_artifact["counters"])
+    assert any(k.startswith("exec_") for k in smoke_artifact["counters"])
+
+
+def test_smoke_artifact_labelled_series(smoke_artifact):
+    counters = smoke_artifact["counters"]
+    for structure in ("dual", "rplus"):
+        for qtype in ("EXIST", "ALL"):
+            key = f"smoke_total_pages{{structure={structure},type={qtype}}}"
+            assert counters[key] > 0
+    hist = smoke_artifact["histograms"]["smoke_query_seconds{structure=dual}"]
+    assert hist["count"] > 0 and hist["total"] > 0
 
 
 def test_smoke_gate_round_trip(tmp_path, capsys):
@@ -248,13 +285,6 @@ def test_explain_requires_exactly_one_source(tmp_path, capsys):
     assert "exactly one" in err and "--queries" in err
 
 
-def test_stats_prom_format(capsys):
-    assert main(["stats", "--format", "prom"]) == 0
-    out = capsys.readouterr().out
-    assert "# TYPE" in out and "# HELP" in out
-    assert 'smoke_total_pages{structure="dual"' in out
-
-
 def test_bench_diff_subcommand_exit_codes(tmp_path, capsys):
     import json
 
@@ -269,6 +299,27 @@ def test_bench_diff_subcommand_exit_codes(tmp_path, capsys):
         ["bench-diff", str(base), str(cur), "--threshold", "0.5"]
     ) == 0
     capsys.readouterr()
+
+
+def test_fuzz_budget_must_be_finite_and_positive():
+    from repro.cli import parse_budget
+
+    assert parse_budget("45") == 45.0
+    assert parse_budget("30s") == 30.0
+    assert parse_budget("2m") == 120.0
+    assert parse_budget("0.5h") == 1800.0
+    # nan ran zero rounds and reported OK; inf never ended.
+    for text in ("abc", "nan", "inf", "-inf", "nanm", "1e400", "1e308h"):
+        with pytest.raises(SystemExit) as excinfo:
+            parse_budget(text)
+        assert "invalid --budget" in str(excinfo.value.code)
+    for text in ("0", "-5s"):
+        with pytest.raises(SystemExit) as excinfo:
+            parse_budget(text)
+        assert "must be positive" in str(excinfo.value.code)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["fuzz", "--budget", "nan"])
+    assert "invalid --budget" in str(excinfo.value.code)
 
 
 def test_save_open_round_trip(tmp_path, capsys):

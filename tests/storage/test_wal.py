@@ -1,6 +1,9 @@
 """Write-ahead log tests: framing, commit, replay, torn tails."""
 
+import json
 import os
+import subprocess
+import sys
 import zlib
 
 import pytest
@@ -150,3 +153,54 @@ def test_frame_crc_covers_type_and_payload(tmp_path):
     assert body == bytes([REC_ALLOC]) + (7).to_bytes(4, "little")
     assert crc == zlib.crc32(body)
     wal.close()
+
+
+# The durability counters register lazily, in the process-global
+# registry, so each probe runs in a fresh interpreter.
+_REGISTRY_PROBE = """
+import json
+from repro.obs import get_registry
+{body}
+doc = get_registry().collect()
+print(json.dumps(sorted(key for section in doc.values() for key in section)))
+"""
+
+
+def _durability_series(tmp_path, body):
+    import repro
+
+    env = {k: v for k, v in os.environ.items() if k != "REPRO_DATA_DIR"}
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _REGISTRY_PROBE.format(body=body)],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+        timeout=300, check=True,
+    )
+    keys = json.loads(proc.stdout.splitlines()[-1])
+    return [k for k in keys if k.startswith(("wal_", "checkpoint_"))]
+
+
+def test_plain_build_and_query_registers_no_durability_series(tmp_path):
+    assert _durability_series(tmp_path, """
+from repro.bench.harness import dual_planner, queries_for
+planner = dual_planner(60, "small", 2)
+for query in queries_for(60, "small", "EXIST", 2, count=2):
+    planner.query(query)
+""") == []
+
+
+def test_wal_mode_save_registers_durability_series(tmp_path):
+    series = _durability_series(tmp_path, """
+from repro.core import DualIndexPlanner, SlopeSet
+from repro.storage import FileDisk, Pager, save_planner
+from repro.workloads import make_relation
+disk = FileDisk("engine", durability="wal")
+planner = DualIndexPlanner.build(
+    make_relation(60, "small", seed=1), SlopeSet.uniform_angles(2),
+    pager=Pager(disk=disk))
+save_planner(planner, "engine")
+disk.close()
+""")
+    assert {"wal_appends", "wal_fsyncs", "checkpoint_pages"} <= set(series)
